@@ -5,7 +5,8 @@ command line. Every artifact embeds (or carries a sidecar with) the resolved
 config and seed, and all randomness derives from the single run seed through
 named substreams, so reruns are byte-identical.
 
-Exit codes: 0 ok, 2 config error, 3 infeasible sampling, 4 numerical failure.
+Exit codes: 0 ok, 2 config error, 3 infeasible sampling, 4 numerical failure,
+5 data failure (an episode the head cannot handle, such as too few support tokens).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .encoder import (
     write_external_embeddings,
 )
 from .evaluation import render_results_table, report_json, write_report
-from .heads import HeadConfig, write_prototypes_csv
+from .heads import EmptyClassError, HeadConfig, write_prototypes_csv
 from .inference import episode_prototypes, evaluate_episodes
 from .sampler import (
     InfeasibleSamplingError,
@@ -410,6 +411,8 @@ def main(argv=None) -> int:
         return _fail(3, "infeasible-sampling", exc)
     except NumericalError as exc:
         return _fail(4, "numerical-failure", exc)
+    except EmptyClassError as exc:  # a ValueError, so it must be caught before the config errors
+        return _fail(5, "data", exc)
     except (
         CorpusFormatError,
         SplitSpecError,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -116,17 +116,17 @@ def initialize_params(
 
 @dataclass
 class Gradients:
+    """Gradient buffers; ``table`` is zero outside the sorted unique bucket indices in ``rows``."""
+
     table: np.ndarray
     projection: np.ndarray
     reducer: np.ndarray | None = None
+    rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "Gradients":
-        return cls(
-            table=np.zeros_like(params.encoder.table),
-            projection=np.zeros_like(params.encoder.projection),
-            reducer=None if params.reducer is None else np.zeros_like(params.reducer),
-        )
+        # np.zeros leaves untouched pages of the table unmapped; np.zeros_like writes them all.
+        return cls(**{name: np.zeros(arr.shape) for name, arr in params.arrays().items()})
 
     def arrays(self) -> dict[str, np.ndarray]:
         out = {"table": self.table, "projection": self.projection}
@@ -134,16 +134,22 @@ class Gradients:
             out["reducer"] = self.reducer
         return out
 
+    def add_rows(self, buckets: np.ndarray, drows: np.ndarray) -> None:
+        np.add.at(self.table, buckets, drows)
+        self.rows = np.union1d(self.rows, buckets)
+
     def zero_(self) -> None:
-        for arr in self.arrays().values():
-            arr.fill(0.0)
+        self.table[self.rows] = 0.0
+        self.rows = self.rows[:0]
+        self.projection.fill(0.0)
+        if self.reducer is not None:
+            self.reducer.fill(0.0)
 
     def scale_(self, factor: float) -> None:
-        for arr in self.arrays().values():
-            arr *= factor
-
-    def global_norm(self) -> float:
-        return float(np.sqrt(sum(float(np.square(a).sum()) for a in self.arrays().values())))
+        self.table[self.rows] *= factor
+        self.projection *= factor
+        if self.reducer is not None:
+            self.reducer *= factor
 
 
 @dataclass
@@ -227,7 +233,7 @@ def _encoder_backward(
         grads.projection += m.T @ dh
         dmixed = dh @ params.encoder.projection.T
         drows = window_means_backward(dmixed, plan, radius)
-        np.add.at(grads.table, b, drows)
+        grads.add_rows(b, drows)
 
 
 def _prototype_forward(hidden: np.ndarray, labels: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -338,10 +344,13 @@ def forward_backward(
 
 
 class AdamState:
+    """AdamW moments; ``seen`` lists the table rows whose moments may be non-zero."""
+
     def __init__(self, params: ModelParams):
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.arrays().items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.arrays().items()}
+        self.m = {k: np.zeros(v.shape) for k, v in params.arrays().items()}
+        self.v = {k: np.zeros(v.shape) for k, v in params.arrays().items()}
+        self.seen = np.empty(0, dtype=np.int64)
 
 
 def clip_global_norm(arrays: dict[str, np.ndarray], max_norm: float) -> float:
@@ -361,40 +370,68 @@ def apply_update(
     grads: dict[str, np.ndarray],
     cfg: TrainConfig,
     state: AdamState | None,
-) -> None:
-    """Global-norm clip followed by one SGD or AdamW update, in place."""
-    clip_global_norm(grads, cfg.grad_clip_norm)
-    if cfg.optimizer == "sgd":
-        for name, p in arrays.items():
-            p -= cfg.learning_rate * grads[name]
+    rows: dict[str, np.ndarray] | None = None,
+) -> float:
+    """Global-norm clip followed by one SGD or AdamW update, in place; returns the pre-clip norm.
+
+    ``rows`` maps an array name to the row indices to update; ``grads`` then holds the
+    gradient of exactly those rows. Arrays not named are updated whole.
+    """
+    rows = rows or {}
+    norm = clip_global_norm(grads, cfg.grad_clip_norm)
+    if cfg.optimizer == "adamw":
+        assert state is not None, "adamw requires optimizer state"
+        state.t += 1
+        bias1 = 1.0 - _ADAM_BETA1**state.t
+        bias2 = 1.0 - _ADAM_BETA2**state.t
+    for name, g in grads.items():
+        index = rows.get(name, slice(None))
+        p = arrays[name][index]
+        if cfg.optimizer == "sgd":
+            p -= cfg.learning_rate * g
             if cfg.weight_decay:
                 p -= cfg.learning_rate * cfg.weight_decay * p
-        return
-    assert state is not None, "adamw requires optimizer state"
-    state.t += 1
-    bias1 = 1.0 - _ADAM_BETA1**state.t
-    bias2 = 1.0 - _ADAM_BETA2**state.t
-    for name, p in arrays.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= _ADAM_BETA1
-        m += (1.0 - _ADAM_BETA1) * g
-        v *= _ADAM_BETA2
-        v += (1.0 - _ADAM_BETA2) * np.square(g)
-        update = (m / bias1) / (np.sqrt(v / bias2) + _ADAM_EPS)
-        if cfg.weight_decay:
-            update = update + cfg.weight_decay * p
-        p -= cfg.learning_rate * update
+        else:
+            m = state.m[name][index]
+            v = state.v[name][index]
+            m *= _ADAM_BETA1
+            m += (1.0 - _ADAM_BETA1) * g
+            v *= _ADAM_BETA2
+            v += (1.0 - _ADAM_BETA2) * np.square(g)
+            update = (m / bias1) / (np.sqrt(v / bias2) + _ADAM_EPS)
+            if cfg.weight_decay:
+                update = update + cfg.weight_decay * p
+            p -= cfg.learning_rate * update
+        if not isinstance(index, slice):  # fancy indexing gathered copies; scatter them back
+            arrays[name][index] = p
+            if cfg.optimizer == "adamw":
+                state.m[name][index] = m
+                state.v[name][index] = v
+    return norm
 
 
-def step(params: ModelParams, grads: Gradients, cfg: TrainConfig, state: AdamState | None = None) -> ModelParams:
-    """One optimizer step; validates gradient finiteness before touching parameters."""
-    for name, g in grads.arrays().items():
+def step(params: ModelParams, grads: Gradients, cfg: TrainConfig, state: AdamState | None = None) -> float:
+    """One optimizer step; validates gradient finiteness before touching parameters.
+
+    Returns the pre-clip gradient norm. Only the table rows the update can move are
+    visited: rows with a gradient, plus, under AdamW, rows whose moments are non-zero
+    from earlier steps. Every other row has zero gradient and zero moments, which a
+    dense step leaves exactly unchanged. Weight decay moves every row.
+    """
+    if cfg.weight_decay:
+        index = slice(None)
+    else:
+        visit = grads.rows if state is None else np.union1d(state.seen, grads.rows)
+        # Past about half the table, gathering and scattering the visited rows costs more
+        # than a dense pass over a view (measured on 4096x32 and 65536x64 tables).
+        index = slice(None) if 2 * visit.size >= grads.table.shape[0] else visit
+    checked = dict(grads.arrays(), table=grads.table[index])
+    for name, g in checked.items():
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient in {name!r}")
-    apply_update(params.arrays(), grads.arrays(), cfg, state)
-    return params
+    if state is not None and not cfg.weight_decay:
+        state.seen = visit
+    return apply_update(params.arrays(), checked, cfg, state, {"table": index})
 
 
 @dataclass
@@ -446,7 +483,7 @@ def train(
     state = AdamState(params) if train_cfg.optimizer == "adamw" else None
     history: list[tuple[int, float]] = []
     best_f1 = -1.0
-    best_params = params.copy()
+    best_params = params  # the last episode always validates, which replaces this with a copy
     in_batch = 0
     log_handle = open(log_path, "w", encoding="utf-8") if log_path is not None else None
     try:
@@ -465,7 +502,9 @@ def train(
             record: dict = {"episode": i + 1, "loss": loss}
             if in_batch == train_cfg.batch_size or i == train_cfg.episodes - 1:
                 grads.scale_(1.0 / in_batch)
-                step(params, grads, train_cfg, state)
+                norm = step(params, grads, train_cfg, state)
+                record["grad_norm"] = norm
+                record["clipped"] = norm > train_cfg.grad_clip_norm
                 grads.zero_()
                 in_batch = 0
             if (i + 1) % train_cfg.validate_every == 0 or i == train_cfg.episodes - 1:

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from epiarg.cli import main
-from epiarg.corpus import write_corpus
+from epiarg.corpus import ArgumentSpan, Corpus, Document, SplitSpec, write_corpus
 from epiarg.synthetic import separable_corpus
 
 
@@ -138,6 +138,30 @@ class TestErrorPaths:
         assert run(bad, "split") == 0
         assert run(bad, "sample") == 3
         assert capsys.readouterr().err.startswith("error code=3 kind=infeasible-sampling:")
+
+    def test_too_few_points_for_kmeans_is_data_error(self, workspace, capsys):
+        """MNAV k-means on a support set with fewer O tokens than ``kmeans_k``."""
+        tmp_path, _, config = workspace
+        events = [f"event_{e}" for e in range(4)]
+        docs = tuple(
+            Document(
+                f"{event}_{d}", "t", event, ("w", "m0", "w", "m1", "w", "m2", "w"),
+                tuple(ArgumentSpan(2 * j + 1, 2 * j + 2, f"{event}_r{j}") for j in range(3)),
+            )
+            for event in events
+            for d in range(14)
+        )
+        write_corpus(Corpus(docs), config["corpus"])
+        spec = SplitSpec("custom", tuple(events[:2]), (events[2],), (events[3],), ())
+        (tmp_path / "splits.json").write_text(json.dumps(spec.to_dict()))
+        config = dict(config, head={"name": "mnav", "kmeans_k": 8})  # every support set has 4 O tokens
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps(config))
+        assert run(short, "split") == 0
+        assert run(short, "sample") == 0
+        capsys.readouterr()
+        assert run(short, "eval") == 5
+        assert capsys.readouterr().err.startswith("error code=5 kind=data:")
 
     def test_train_on_external_embeddings_rejected(self, workspace):
         tmp_path, config_path, config = workspace

@@ -31,13 +31,13 @@ from epiarg.trainer import (
 TEST_ENCODER = EncoderConfig(d_emb=6, d_model=5, radius=1, n_buckets=40, chunk_length=16, init_scale=0.3)
 
 
-def small_episode(seed):
+def small_episode(seed, vocab_start=0):
     """Hand-built two-way episode with random tokens but guaranteed class occupancy."""
     from epiarg.corpus import ArgumentSpan, Document
     from epiarg.sampler import Episode
 
     rng = substream(seed, "episode-fixture")
-    vocab = [f"v{i}" for i in range(12)]
+    vocab = [f"v{i}" for i in range(vocab_start, vocab_start + 12)]
 
     def doc(doc_id, spans):
         n = 12 + int(rng.integers(8))
@@ -291,6 +291,114 @@ class TestStep:
         grads.projection[0, 0] = np.nan
         with pytest.raises(NumericalError):
             step(params, grads, TrainConfig(episodes=1, validate_every=1), AdamState(params))
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
+    def test_non_finite_touched_row_aborts_and_zero_clears(self, optimizer):
+        params, head_cfg = make_params(6)
+        tensors = episode_tensors(small_episode(6), params, TEST_ENCODER.chunk_length)
+        _, grads = forward_backward(params, tensors, head_cfg)
+        assert grads.rows.size > 0
+        grads.table[grads.rows[-1], 0] = np.nan
+        cfg = TrainConfig(episodes=1, validate_every=1, optimizer=optimizer)
+        before = params.encoder.table.copy()
+        with pytest.raises(NumericalError):
+            step(params, grads, cfg, AdamState(params) if optimizer == "adamw" else None)
+        np.testing.assert_array_equal(params.encoder.table, before)
+        grads.zero_()
+        assert np.count_nonzero(grads.table) == 0
+        assert grads.rows.size == 0
+
+
+def dense_reference_step(params, grads, cfg, moments):
+    """The dense optimizer step: clip and update every row of every array.
+
+    ``moments`` is {"t": int, "m": {...}, "v": {...}} for AdamW and None for SGD.
+    Returns the pre-clip norm.
+    """
+    arrays, grads = params.arrays(), grads.arrays()
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise NumericalError(f"non-finite gradient in {name!r}")
+    norm = float(np.sqrt(sum(float(np.square(a).sum()) for a in grads.values())))
+    if norm > cfg.grad_clip_norm:
+        for g in grads.values():
+            g *= cfg.grad_clip_norm / norm
+    if cfg.optimizer == "sgd":
+        for name, p in arrays.items():
+            p -= cfg.learning_rate * grads[name]
+            if cfg.weight_decay:
+                p -= cfg.learning_rate * cfg.weight_decay * p
+        return norm
+    moments["t"] += 1
+    bias1 = 1.0 - 0.9 ** moments["t"]
+    bias2 = 1.0 - 0.999 ** moments["t"]
+    for name, p in arrays.items():
+        g, m, v = grads[name], moments["m"][name], moments["v"][name]
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * np.square(g)
+        update = (m / bias1) / (np.sqrt(v / bias2) + 1e-8)
+        if cfg.weight_decay:
+            update = update + cfg.weight_decay * p
+        p -= cfg.learning_rate * update
+    return norm
+
+
+class TestTouchedRowStep:
+    """``step`` visits only the table rows it can move; the result must equal the dense step."""
+
+    ENCODER = EncoderConfig(d_emb=6, d_model=5, radius=1, n_buckets=64, chunk_length=16, init_scale=0.3)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
+    @pytest.mark.parametrize("head", ["protonet", "nnshot", "mnav"])
+    def test_matches_dense_reference(self, head, optimizer, weight_decay):
+        head_cfg = HeadConfig(head, d_reduced=3, kmeans_k=2)
+        params = initialize_params(self.ENCODER, head_cfg, substream(31, "init"))
+        initial = params.copy()
+        reference = params.copy()
+        cfg = TrainConfig(
+            episodes=1, validate_every=1, learning_rate=0.05, grad_clip_norm=0.02,
+            optimizer=optimizer, weight_decay=weight_decay,
+        )
+        state = AdamState(params) if optimizer == "adamw" else None
+        moments = None
+        if optimizer == "adamw":
+            moments = {"t": 0, **{key: {k: np.zeros_like(v) for k, v in params.arrays().items()} for key in "mv"}}
+        nota = substream(32, "nota").normal(size=(2, self.ENCODER.d_model)) if head == "mnav" else None
+        grads = Gradients.zeros_like(params)
+        touched = set()
+        clipped = 0
+        for i in range(8):
+            ref_grads = Gradients.zeros_like(reference)
+            for j in range(2):  # a batch of two episodes with shifting vocabularies
+                episode = small_episode(40 + 2 * i + j, vocab_start=3 * i + j)
+                tensors = episode_tensors(episode, params, self.ENCODER.chunk_length)
+                forward_backward(params, tensors, head_cfg, fixed_nota=nota, out=grads)
+                forward_backward(reference, tensors, head_cfg, fixed_nota=nota, out=ref_grads)
+            grads.scale_(0.5)
+            for arr in ref_grads.arrays().values():
+                arr *= 0.5
+            touched.update(grads.rows.tolist())
+            norm = step(params, grads, cfg, state)
+            grads.zero_()
+            assert norm == pytest.approx(dense_reference_step(reference, ref_grads, cfg, moments), rel=1e-12)
+            clipped += norm > cfg.grad_clip_norm
+        assert clipped > 0
+        assert len(touched) < self.ENCODER.n_buckets // 2  # without weight decay, no dense pass
+
+        for name, arr in params.arrays().items():
+            np.testing.assert_allclose(arr, reference.arrays()[name], rtol=1e-12, atol=0)
+        if optimizer == "adamw":
+            assert state.t == moments["t"]
+            for name in params.arrays():
+                np.testing.assert_allclose(state.m[name], moments["m"][name], rtol=1e-12, atol=0)
+                np.testing.assert_allclose(state.v[name], moments["v"][name], rtol=1e-12, atol=0)
+        if not weight_decay:
+            untouched = np.setdiff1d(np.arange(self.ENCODER.n_buckets), sorted(touched))
+            assert untouched.size > 0
+            assert params.encoder.table[untouched].tobytes() == initial.encoder.table[untouched].tobytes()
 
 
 class TestTrainLoop:
