@@ -28,7 +28,6 @@ class HeadConfig:
     d_reduced: int = 32
     kmeans_k: int = 6
     kmeans_iters: int = 100
-    nnshot_include_o: bool = True
 
     def __post_init__(self):
         if self.name not in ("baseline_no_finetune", "protonet", "nnshot", "mnav"):
@@ -42,7 +41,6 @@ class HeadConfig:
             "d_reduced": self.d_reduced,
             "kmeans_k": self.kmeans_k,
             "kmeans_iters": self.kmeans_iters,
-            "nnshot_include_o": self.nnshot_include_o,
         }
 
     @classmethod
@@ -105,6 +103,18 @@ def io_labels(num_tokens: int, spans, active_types: Sequence[str]) -> np.ndarray
     return labels
 
 
+def class_counts(labels: np.ndarray, active_types: Sequence[str]) -> np.ndarray:
+    """Support tokens per class, O last; a class with none is an error naming it."""
+    n = len(active_types)
+    counts = np.bincount(labels, minlength=n + 1)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        c = int(empty[0])
+        name = active_types[c] if c < n else "O"
+        raise EmptyClassError(f"no support tokens for type {name!r}")
+    return counts
+
+
 def compute_prototypes(
     support: Sequence[tuple[np.ndarray, np.ndarray]],
     active_types: Sequence[str],
@@ -121,13 +131,8 @@ def compute_prototypes(
     labels = np.concatenate([lab for _, lab in support])
     if rows.shape[0] != labels.shape[0]:
         raise ValueError("support embeddings and labels disagree on token count")
-    vectors = []
-    for c in range(n + 1):
-        mask = labels == c
-        if not mask.any():
-            name = active_types[c] if c < n else "O"
-            raise EmptyClassError(f"no support tokens for type {name!r}")
-        vectors.append(rows[mask].mean(axis=0))
+    class_counts(labels, active_types)
+    vectors = [rows[labels == c].mean(axis=0) for c in range(n + 1)]
     return PrototypeSet(
         active_types=tuple(active_types),
         type_vectors=np.array(vectors[:n]),
@@ -135,7 +140,8 @@ def compute_prototypes(
     )
 
 
-def _squared_l2(query: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def squared_l2(query: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(T, R) squared Euclidean distances, computed in blocks of query rows."""
     out = np.empty((query.shape[0], rows.shape[0]))
     for start in range(0, query.shape[0], _QUERY_BLOCK):
         block = query[start : start + _QUERY_BLOCK]
@@ -143,61 +149,69 @@ def _squared_l2(query: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assign_by_prototypes(protos: PrototypeSet, query: np.ndarray) -> TokenAssignment:
+def protonet_classify(protos: PrototypeSet, query: np.ndarray) -> TokenAssignment:
+    """Label each query token by its squared-L2-nearest prototype row.
+
+    With K NOTA vectors (MNAV) any NOTA row winning the argmin means O.
+    """
     if query.shape[1] != protos.type_vectors.shape[1]:
         raise ValueError(
             f"query dimension {query.shape[1]} does not match prototype dimension {protos.type_vectors.shape[1]}"
         )
-    distances = _squared_l2(query, protos.matrix)
+    distances = squared_l2(query, protos.matrix)
     labels = np.minimum(distances.argmin(axis=1), protos.n_types)
     return TokenAssignment(labels=labels, distances=distances, n_types=protos.n_types)
 
 
-def protonet_classify(protos: PrototypeSet, query: np.ndarray) -> TokenAssignment:
-    """Label each query token by its squared-L2-nearest prototype (single O vector)."""
-    return _assign_by_prototypes(protos, query)
+mnav_classify = protonet_classify
 
 
-def mnav_classify(protos: PrototypeSet, query: np.ndarray) -> TokenAssignment:
-    """ProtoNet with K NOTA vectors: any NOTA row winning the argmin means O."""
-    return _assign_by_prototypes(protos, query)
+def nearest_per_class(
+    query: np.ndarray, rows: np.ndarray, labels: np.ndarray, n_classes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per query token and class: the least L1 distance to a row of that class, and that row's index.
+
+    Returns two (T, n_classes) arrays. Ties go to the lowest row index; a class
+    with no rows gets +inf and -1. Memory is one block of query rows times all rows.
+    """
+    dmin = np.full((query.shape[0], n_classes), np.inf)
+    umin = np.full((query.shape[0], n_classes), -1, dtype=np.int64)
+    members = [(c, np.flatnonzero(labels == c)) for c in range(n_classes)]
+    members = [(c, idx) for c, idx in members if idx.size]
+    for start in range(0, query.shape[0], _QUERY_BLOCK):
+        block = slice(start, start + _QUERY_BLOCK)
+        dist = np.abs(query[block, None, :] - rows[None, :, :]).sum(axis=2)
+        span = np.arange(dist.shape[0])
+        for c, idx in members:
+            best = idx[dist[:, idx].argmin(axis=1)]
+            umin[block, c] = best
+            dmin[block, c] = dist[span, best]
+    return dmin, umin
 
 
 def nnshot_classify(
     support: Sequence[tuple[np.ndarray, np.ndarray]],
     query: np.ndarray,
     n_types: int,
-    include_o: bool = True,
 ) -> TokenAssignment:
     """Token-level nearest neighbor under L1 distance in the reduced space.
 
     Each query token takes the label of its nearest support token; exact
     ties go to the lowest support-token index. The distance matrix holds the
-    per-class minimum (O included as a class when ``include_o`` is on; an
-    absent class gets +inf).
+    per-class minimum, O included as a class; an absent class gets +inf.
     """
     if not support:
         raise EmptyClassError("empty support set")
     rows = np.vstack([mat for mat, _ in support])
     labels = np.concatenate([lab for _, lab in support])
-    if not include_o:
-        keep = labels != n_types
-        rows, labels = rows[keep], labels[keep]
-        if rows.shape[0] == 0:
-            raise EmptyClassError("no typed support tokens for nearest-neighbor classification")
     if query.shape[1] != rows.shape[1]:
         raise ValueError(f"query dimension {query.shape[1]} does not match support dimension {rows.shape[1]}")
-    pred = np.empty(query.shape[0], dtype=np.int64)
-    class_dist = np.full((query.shape[0], n_types + 1), np.inf)
-    class_masks = [(c, labels == c) for c in range(n_types + 1)]
-    for start in range(0, query.shape[0], _QUERY_BLOCK):
-        block = query[start : start + _QUERY_BLOCK]
-        dist = np.abs(block[:, None, :] - rows[None, :, :]).sum(axis=2)
-        pred[start : start + _QUERY_BLOCK] = labels[dist.argmin(axis=1)]
-        for c, mask in class_masks:
-            if mask.any():
-                class_dist[start : start + _QUERY_BLOCK, c] = dist[:, mask].min(axis=1)
-    return TokenAssignment(labels=pred, distances=class_dist, n_types=n_types)
+    dmin, umin = nearest_per_class(query, rows, labels, n_types + 1)
+    # The nearest row overall: least distance, then least index (absent classes never win).
+    index = np.where(umin < 0, rows.shape[0], umin)
+    winner = np.lexsort((index, dmin))[:, 0]
+    pred = labels[umin[np.arange(query.shape[0]), winner]]
+    return TokenAssignment(labels=pred, distances=dmin, n_types=n_types)
 
 
 @dataclass(frozen=True)
@@ -234,7 +248,7 @@ def kmeans_nota(
 
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[int(rng.integers(points.shape[0]))]
-    closest = np.square(points - centroids[0]).sum(axis=1)
+    closest = squared_l2(points, centroids[:1])[:, 0]
     for j in range(1, k):
         total = closest.sum()
         if total > 0:
@@ -243,12 +257,12 @@ def kmeans_nota(
         else:
             pick = int(rng.integers(points.shape[0]))
         centroids[j] = points[pick]
-        closest = np.minimum(closest, np.square(points - centroids[j]).sum(axis=1))
+        closest = np.minimum(closest, squared_l2(points, centroids[j : j + 1])[:, 0])
 
     assignments = np.full(points.shape[0], -1, dtype=np.int64)
     history: list[float] = []
     for iteration in range(1, max_iters + 1):
-        dist = _squared_l2(points, centroids)
+        dist = squared_l2(points, centroids)
         new_assignments = dist.argmin(axis=1)
         history.append(float(dist[np.arange(points.shape[0]), new_assignments].sum()))
         if np.array_equal(new_assignments, assignments):

@@ -56,6 +56,19 @@ def _episode_pairs(
     return support, query
 
 
+def _prototype_set(episode: Episode, support, head_cfg: HeadConfig, seed: int) -> PrototypeSet:
+    """Class means, with K k-means NOTA vectors in place of the O mean for MNAV."""
+    if head_cfg.name == "mnav":
+        return build_mnav_prototypes(
+            support,
+            episode.active_types,
+            head_cfg.kmeans_k,
+            substream(seed, "kmeans", episode.episode_id),
+            head_cfg.kmeans_iters,
+        )
+    return compute_prototypes(support, episode.active_types)
+
+
 def episode_prototypes(
     episode: Episode,
     params: ModelParams | None,
@@ -67,15 +80,7 @@ def episode_prototypes(
 ) -> PrototypeSet:
     """Prototype set this episode's support induces (K NOTA vectors for MNAV)."""
     support, _ = _episode_pairs(episode, params, provider, encoder_cfg)
-    if head_cfg.name == "mnav":
-        return build_mnav_prototypes(
-            support,
-            episode.active_types,
-            head_cfg.kmeans_k,
-            substream(seed, "kmeans", episode.episode_id),
-            head_cfg.kmeans_iters,
-        )
-    return compute_prototypes(support, episode.active_types)
+    return _prototype_set(episode, support, head_cfg, seed)
 
 
 def run_episode(
@@ -95,26 +100,15 @@ def run_episode(
     support, query = _episode_pairs(episode, params, provider, encoder_cfg)
     n = len(episode.active_types)
 
-    if head_cfg.name in ("protonet", "baseline_no_finetune"):
-        protos = compute_prototypes(support, episode.active_types)
-        assignments = [protonet_classify(protos, mat) for mat, _ in query]
-    elif head_cfg.name == "mnav":
-        protos = build_mnav_prototypes(
-            support,
-            episode.active_types,
-            head_cfg.kmeans_k,
-            substream(seed, "kmeans", episode.episode_id),
-            head_cfg.kmeans_iters,
-        )
-        assignments = [mnav_classify(protos, mat) for mat, _ in query]
+    if head_cfg.name in ("protonet", "baseline_no_finetune", "mnav"):
+        protos = _prototype_set(episode, support, head_cfg, seed)
+        classify = mnav_classify if head_cfg.name == "mnav" else protonet_classify
+        assignments = [classify(protos, mat) for mat, _ in query]
     elif head_cfg.name == "nnshot":
         if params is None or params.reducer is None:
             raise ValueError("nnshot inference requires reducer parameters")
         reduced_support = [(mat @ params.reducer, lab) for mat, lab in support]
-        assignments = [
-            nnshot_classify(reduced_support, mat @ params.reducer, n, head_cfg.nnshot_include_o)
-            for mat, _ in query
-        ]
+        assignments = [nnshot_classify(reduced_support, mat @ params.reducer, n) for mat, _ in query]
     else:
         raise ValueError(f"unknown head {head_cfg.name!r}")
 

@@ -25,7 +25,17 @@ from .encoder import (
     window_means,
     window_means_backward,
 )
-from .heads import HeadConfig, TokenAssignment, io_labels, kmeans_nota
+from .heads import (
+    HeadConfig,
+    PrototypeSet,
+    TokenAssignment,
+    class_counts,
+    compute_prototypes,
+    io_labels,
+    kmeans_nota,
+    nearest_per_class,
+    protonet_classify,
+)
 from .sampler import Episode, SamplerConfig, generate_episode_set, sample_episode, PoolIndex
 from .seeds import substream
 
@@ -162,7 +172,11 @@ class EpisodeTensors:
     query_buckets: list[np.ndarray]
     query_plans: list[ChunkPlan]
     query_labels: np.ndarray
-    n_types: int
+    active_types: tuple[str, ...]
+
+    @property
+    def n_types(self) -> int:
+        return len(self.active_types)
 
 
 def episode_tensors(episode: Episode, params: ModelParams, chunk_length: int) -> EpisodeTensors:
@@ -176,7 +190,7 @@ def episode_tensors(episode: Episode, params: ModelParams, chunk_length: int) ->
 
     sb, sp, sl = lower(episode.support)
     qb, qp, ql = lower(episode.query)
-    return EpisodeTensors(sb, sp, sl, qb, qp, ql, n_types=len(episode.active_types))
+    return EpisodeTensors(sb, sp, sl, qb, qp, ql, tuple(episode.active_types))
 
 
 def episode_loss(assignment: TokenAssignment, gold: np.ndarray) -> float:
@@ -185,9 +199,7 @@ def episode_loss(assignment: TokenAssignment, gold: np.ndarray) -> float:
     gold = np.asarray(gold)
     if gold.shape[0] != logits.shape[0]:
         raise ValueError("one gold label per query token required")
-    m = logits.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-    return float(np.mean(lse - logits[np.arange(logits.shape[0]), gold]))
+    return _softmax_ce_backward(logits, gold)[0]
 
 
 def _softmax_ce_backward(logits: np.ndarray, gold: np.ndarray) -> tuple[float, np.ndarray]:
@@ -236,22 +248,6 @@ def _encoder_backward(
         grads.add_rows(b, drows)
 
 
-def _prototype_forward(hidden: np.ndarray, labels: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    protos = np.empty((n_classes, hidden.shape[1]))
-    counts = np.empty(n_classes)
-    for c in range(n_classes):
-        mask = labels == c
-        if not mask.any():
-            raise NumericalError(f"support class {c} has no tokens; episode cannot be trained")
-        protos[c] = hidden[mask].mean(axis=0)
-        counts[c] = mask.sum()
-    return protos, counts
-
-
-def _squared_distances(query: np.ndarray, protos: np.ndarray) -> np.ndarray:
-    return np.square(query[:, None, :] - protos[None, :, :]).sum(axis=2)
-
-
 def forward_backward(
     params: ModelParams,
     tensors: EpisodeTensors,
@@ -263,63 +259,49 @@ def forward_backward(
 ) -> tuple[float, Gradients]:
     """Episode loss and analytic gradients for the chosen head.
 
-    For MNAV the NOTA centroids are recomputed by k-means inside the forward
-    pass (or taken from ``fixed_nota``) and treated as constants: gradients
-    flow through the type prototypes and the query embeddings only.
+    The forward pass runs the evaluation kernels of ``heads``; only the
+    backward maths lives here. For MNAV the NOTA centroids are recomputed by
+    k-means inside the forward pass (or taken from ``fixed_nota``) and treated
+    as constants: gradients flow through the type prototypes and the query
+    embeddings only.
     """
     grads = out if out is not None else Gradients.zeros_like(params)
     n = tensors.n_types
     h_support, mixed_s = _encode_docs(params, tensors.support_buckets, tensors.support_plans)
     h_query, mixed_q = _encode_docs(params, tensors.query_buckets, tensors.query_plans)
-    gold = tensors.query_labels
+    support_labels, gold = tensors.support_labels, tensors.query_labels
+    counts = class_counts(support_labels, tensors.active_types)
 
-    if head_cfg.name == "protonet":
-        protos, counts = _prototype_forward(h_support, tensors.support_labels, n + 1)
-        dist = _squared_distances(h_query, protos)
-        loss, dlogits = _softmax_ce_backward(-dist, gold)
-        ddist = -dlogits
-        d_hq = 2.0 * (ddist.sum(axis=1, keepdims=True) * h_query - ddist @ protos)
-        d_protos = -2.0 * (ddist.T @ h_query - ddist.sum(axis=0)[:, None] * protos)
-        d_hs = d_protos[tensors.support_labels] / counts[tensors.support_labels][:, None]
-    elif head_cfg.name == "mnav":
-        protos, counts = _prototype_forward(h_support, tensors.support_labels, n + 1)
-        if fixed_nota is not None:
-            nota = fixed_nota
-        else:
-            rng = nota_rng if isinstance(nota_rng, np.random.Generator) else np.random.default_rng(nota_rng)
-            o_rows = h_support[tensors.support_labels == n]
-            nota = kmeans_nota(o_rows, head_cfg.kmeans_k, rng, head_cfg.kmeans_iters).centroids
-        type_protos = protos[:n]
-        dist_types = _squared_distances(h_query, type_protos)
-        dist_nota = _squared_distances(h_query, nota)
-        nearest = dist_nota.argmin(axis=1)
-        logits = -np.hstack([dist_types, dist_nota[np.arange(dist_nota.shape[0]), nearest][:, None]])
-        loss, dlogits = _softmax_ce_backward(logits, gold)
-        all_rows = np.vstack([type_protos, nota])
-        ddist = np.zeros((h_query.shape[0], all_rows.shape[0]))
+    if head_cfg.name in ("protonet", "mnav"):
+        protos = compute_prototypes([(h_support, support_labels)], tensors.active_types)
+        learned = n + 1  # prototype rows whose gradient flows back to support tokens
+        if head_cfg.name == "mnav":
+            if fixed_nota is not None:
+                nota = fixed_nota
+            else:
+                rng = nota_rng if isinstance(nota_rng, np.random.Generator) else np.random.default_rng(nota_rng)
+                o_rows = h_support[support_labels == n]
+                nota = kmeans_nota(o_rows, head_cfg.kmeans_k, rng, head_cfg.kmeans_iters).centroids
+            protos = PrototypeSet(protos.active_types, protos.type_vectors, nota)
+            learned = n
+        assignment = protonet_classify(protos, h_query)
+        loss, dlogits = _softmax_ce_backward(-assignment.class_distances(), gold)
+        rows = protos.matrix
+        nearest = assignment.distances[:, n:].argmin(axis=1)
+        ddist = np.zeros(assignment.distances.shape)
         ddist[:, :n] = -dlogits[:, :n]
         ddist[np.arange(ddist.shape[0]), n + nearest] = -dlogits[:, n]
-        d_hq = 2.0 * (ddist.sum(axis=1, keepdims=True) * h_query - ddist @ all_rows)
-        d_type_protos = -2.0 * (ddist[:, :n].T @ h_query - ddist[:, :n].sum(axis=0)[:, None] * type_protos)
+        d_hq = 2.0 * (ddist.sum(axis=1, keepdims=True) * h_query - ddist @ rows)
+        d_rows = -2.0 * (ddist[:, :learned].T @ h_query - ddist[:, :learned].sum(axis=0)[:, None] * rows[:learned])
         d_hs = np.zeros_like(h_support)
-        typed = tensors.support_labels < n
-        d_hs[typed] = d_type_protos[tensors.support_labels[typed]] / counts[tensors.support_labels[typed]][:, None]
+        flows = support_labels < learned
+        d_hs[flows] = d_rows[support_labels[flows]] / counts[support_labels[flows]][:, None]
     elif head_cfg.name == "nnshot":
         if params.reducer is None:
             raise ValueError("nnshot training requires a reducer")
         r_support = h_support @ params.reducer
         r_query = h_query @ params.reducer
-        dmin = np.empty((r_query.shape[0], n + 1))
-        umin = np.empty((r_query.shape[0], n + 1), dtype=np.int64)
-        dist = np.abs(r_query[:, None, :] - r_support[None, :, :]).sum(axis=2)
-        for c in range(n + 1):
-            idx = np.flatnonzero(tensors.support_labels == c)
-            if idx.size == 0:
-                raise NumericalError(f"support class {c} has no tokens; episode cannot be trained")
-            sub = dist[:, idx]
-            local = sub.argmin(axis=1)
-            dmin[:, c] = sub[np.arange(sub.shape[0]), local]
-            umin[:, c] = idx[local]
+        dmin, umin = nearest_per_class(r_query, r_support, support_labels, n + 1)
         loss, dlogits = _softmax_ce_backward(-dmin, gold)
         ddmin = -dlogits
         d_rq = np.zeros_like(r_query)

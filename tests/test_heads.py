@@ -12,6 +12,7 @@ from epiarg.heads import (
     io_labels,
     kmeans_nota,
     mnav_classify,
+    nearest_per_class,
     nnshot_classify,
     protonet_classify,
     write_prototypes_csv,
@@ -145,14 +146,18 @@ class TestNNShot:
                     best_u, best_d = u, d
             assert out.labels[t] == labels[best_u]
 
-    def test_exclude_o_switch(self):
-        rows = np.array([[0.0, 0.0], [5.0, 5.0]])
-        labels = np.array([2, 0])  # O token right on top of the query
-        query = np.array([[0.1, 0.0]])
-        with_o = nnshot_classify([(rows, labels)], query, n_types=2, include_o=True)
-        without_o = nnshot_classify([(rows, labels)], query, n_types=2, include_o=False)
-        assert with_o.labels.tolist() == [2]
-        assert without_o.labels.tolist() == [0]
+    def test_nearest_per_class_oracle(self):
+        """Oracle: per-class python minimum; ties to the lowest row; an absent class is (+inf, -1)."""
+        rng = np.random.default_rng(7)
+        rows = rng.integers(0, 3, size=(30, 2)).astype(float)  # small integers force exact ties
+        labels = rng.integers(0, 2, size=30)  # class 2 is absent
+        query = rng.integers(0, 3, size=(300, 2)).astype(float)
+        dmin, umin = nearest_per_class(query, rows, labels, 3)
+        assert np.all(dmin[:, 2] == np.inf) and np.all(umin[:, 2] == -1)
+        for t in range(300):
+            for c in range(2):
+                dists = [(float(np.abs(query[t] - rows[u]).sum()), u) for u in np.flatnonzero(labels == c)]
+                assert (dmin[t, c], umin[t, c]) == min(dists)
 
     def test_empty_support_rejected(self):
         with pytest.raises(EmptyClassError):
@@ -257,3 +262,5 @@ class TestIOLabelsAndDump:
             HeadConfig(name="nope")
         with pytest.raises(ValueError):
             HeadConfig(kmeans_k=0)
+        # Configs and checkpoints written with the removed nnshot_include_o switch still load.
+        assert HeadConfig.from_dict({"name": "nnshot", "nnshot_include_o": False}) == HeadConfig("nnshot")

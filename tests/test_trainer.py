@@ -7,12 +7,24 @@ import pytest
 
 from epiarg.corpus import compute_split
 from epiarg.encoder import EncoderConfig, chunk_document, embed_tokens
-from epiarg.heads import HeadConfig, TokenAssignment, kmeans_nota
+from epiarg.heads import (
+    EmptyClassError,
+    HeadConfig,
+    TokenAssignment,
+    build_mnav_prototypes,
+    compute_prototypes,
+    io_labels,
+    kmeans_nota,
+    mnav_classify,
+    nnshot_classify,
+    protonet_classify,
+)
 from epiarg.sampler import SamplerConfig
 from epiarg.seeds import substream
 from epiarg.synthetic import separable_corpus
 from epiarg.trainer import (
     AdamState,
+    EpisodeTensors,
     Gradients,
     NumericalError,
     TrainConfig,
@@ -343,6 +355,59 @@ def dense_reference_step(params, grads, cfg, moments):
             update = update + cfg.weight_decay * p
         p -= cfg.learning_rate * update
     return norm
+
+
+class TestSharedHeadKernels:
+    """Training's forward pass is the evaluation classifier: same loss, same empty-class error."""
+
+    @pytest.mark.parametrize("head", ["protonet", "nnshot", "mnav"])
+    def test_training_loss_equals_evaluation_loss(self, head):
+        params, head_cfg = make_params(7, head=head)
+        episode = small_episode(7)
+        active = episode.active_types
+
+        def embedded(docs):
+            return [
+                (
+                    embed_tokens(params.encoder, d, chunk_document(len(d.tokens), TEST_ENCODER.chunk_length)).rows,
+                    io_labels(len(d.tokens), d.arguments, active),
+                )
+                for d in docs
+            ]
+
+        support, query = embedded(episode.support), embedded(episode.query)
+        h_query = np.vstack([rows for rows, _ in query])
+        gold = np.concatenate([labels for _, labels in query])
+        fixed_nota = None
+        if head == "protonet":
+            assignment = protonet_classify(compute_prototypes(support, active), h_query)
+        elif head == "mnav":
+            protos = build_mnav_prototypes(support, active, head_cfg.kmeans_k, 5, head_cfg.kmeans_iters)
+            fixed_nota = protos.nota_vectors
+            assignment = mnav_classify(protos, h_query)
+        else:
+            reduced = [(rows @ params.reducer, labels) for rows, labels in support]
+            assignment = nnshot_classify(reduced, h_query @ params.reducer, len(active))
+        tensors = episode_tensors(episode, params, TEST_ENCODER.chunk_length)
+        loss, _ = forward_backward(params, tensors, head_cfg, fixed_nota=fixed_nota)
+        assert loss == pytest.approx(episode_loss(assignment, gold), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("head", ["protonet", "nnshot"])
+    def test_missing_support_class_is_empty_class_error(self, head):
+        params, head_cfg = make_params(8, head=head)
+        lowered = episode_tensors(small_episode(8), params, TEST_ENCODER.chunk_length)
+        support_labels = np.where(lowered.support_labels == 1, 2, lowered.support_labels)  # B tokens become O
+        tensors = EpisodeTensors(
+            lowered.support_buckets,
+            lowered.support_plans,
+            support_labels,
+            lowered.query_buckets,
+            lowered.query_plans,
+            lowered.query_labels,
+            ("A", "B"),
+        )
+        with pytest.raises(EmptyClassError, match="'B'"):
+            forward_backward(params, tensors, head_cfg)
 
 
 class TestTouchedRowStep:
