@@ -1,8 +1,10 @@
 """The three classification heads and span-exact scoring on one episode.
 
-Embeds an episode with a freshly initialized toy encoder, classifies query
-tokens with ProtoNet, NNShot, and the multi-NOTA-vector variant, then
-decodes spans and scores them.
+Lowers an episode with the shared lowering, embeds it with a freshly
+initialized toy encoder, classifies query tokens with ProtoNet, NNShot, and
+the multi-NOTA-vector variant, then decodes spans and scores them. Every
+head takes the support set as one (rows, labels) pair: the tokens of all
+support documents stacked in document order.
 """
 
 import numpy as np
@@ -13,10 +15,10 @@ from epiarg import (
     SamplerConfig,
     aggregate,
     build_mnav_prototypes,
-    chunk_document,
     compute_prototypes,
     decode_spans,
-    embed_tokens,
+    encode_docs,
+    episode_tensors,
     mnav_classify,
     nnshot_classify,
     protonet_classify,
@@ -24,7 +26,7 @@ from epiarg import (
     score_episode,
 )
 from epiarg.evaluation import fp_fn_analysis, labels_to_strings
-from epiarg.heads import io_labels, kmeans_nota
+from epiarg.heads import kmeans_nota
 from epiarg.seeds import substream
 from epiarg.synthetic import separable_corpus
 from epiarg.trainer import initialize_params
@@ -36,16 +38,12 @@ params = initialize_params(encoder_cfg, HeadConfig("nnshot", d_reduced=8), subst
 episode = sample_episode(corpus, SamplerConfig(n_ways=3, d_docs=2, seed=3), substream(3, "demo"))
 print("active types:", episode.active_types)
 
-
-def embed(doc):
-    return embed_tokens(params.encoder, doc, chunk_document(len(doc.tokens), 256)).rows
-
-
-support = [(embed(d), io_labels(len(d.tokens), d.arguments, episode.active_types)) for d in episode.support]
-query_doc = episode.query[0]
-query = embed(query_doc)
-gold_int = io_labels(len(query_doc.tokens), query_doc.arguments, episode.active_types)
-gold = labels_to_strings(gold_int, episode.active_types)
+# Bucket indices, chunk plans and IO labels of every document; one stacked forward per side.
+tensors = episode_tensors(episode, params, chunk_length=256)
+support = (encode_docs(params.encoder, tensors.support_buckets, tensors.support_plans)[0], tensors.support_labels)
+query, _ = encode_docs(params.encoder, tensors.query_buckets, tensors.query_plans)  # the one query document
+gold = labels_to_strings(tensors.query_labels, episode.active_types)
+print(f"support: {support[0].shape[0]} tokens from {len(episode.support)} documents")
 
 # --- 1. prototypes and ProtoNet --------------------------------------------
 protos = compute_prototypes(support, episode.active_types)
@@ -56,12 +54,12 @@ print("protonet spans:", sorted(decode_spans(pred)))
 print("gold spans:    ", sorted(decode_spans(gold)))
 
 # --- 2. NNShot in a reduced space -------------------------------------------
-reduced_support = [(mat @ params.reducer, lab) for mat, lab in support]
+reduced_support = (support[0] @ params.reducer, support[1])
 nn = nnshot_classify(reduced_support, query @ params.reducer, n_types=3)
 print("\nnnshot spans:  ", sorted(decode_spans(labels_to_strings(nn.labels, episode.active_types))))
 
 # --- 3. multiple NOTA vectors via k-means ------------------------------------
-o_rows = np.vstack([mat[lab == 3] for mat, lab in support])
+o_rows = support[0][support[1] == 3]
 km = kmeans_nota(o_rows, k=4, seed=0)
 print(f"\nk-means over {o_rows.shape[0]} O tokens: inertia {km.inertia_history[0]:.3f} -> {km.inertia:.3f}")
 mnav_protos = build_mnav_prototypes(support, episode.active_types, k=4, seed=0)

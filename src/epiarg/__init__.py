@@ -25,6 +25,7 @@ from .encoder import (
     ToyEncoderParams,
     chunk_document,
     embed_tokens,
+    encode_docs,
     load_external_embeddings,
     project_reduce,
     write_external_embeddings,
@@ -67,6 +68,7 @@ from .trainer import (
     NumericalError,
     TrainConfig,
     episode_loss,
+    episode_tensors,
     forward_backward,
     load_checkpoint,
     save_checkpoint,

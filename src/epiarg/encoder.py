@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -159,15 +160,26 @@ def window_means_backward(grad: np.ndarray, plan: ChunkPlan, radius: int) -> np.
     return out
 
 
+def encode_docs(
+    params: ToyEncoderParams, buckets: Sequence[np.ndarray], plans: Sequence[ChunkPlan]
+) -> tuple[np.ndarray, np.ndarray]:
+    """h_t = window-mean of token embeddings (clipped to the chunk) times the projection, for documents
+    stacked in order; returns the rows and the window means. Chunks stay per document."""
+    starts = accumulate((plan.num_tokens for plan in plans), initial=0)
+    chunks = tuple((s + start, e + start) for plan, start in zip(plans, starts) for s, e in plan.chunks)
+    stacked = ChunkPlan(plans[0].chunk_length, chunks)
+    mixed = window_means(params.table[np.concatenate(buckets)], stacked, params.config.radius)
+    return mixed @ params.projection, mixed
+
+
 def embed_tokens(params: ToyEncoderParams, doc: Document, plan: ChunkPlan) -> EmbeddingMatrix:
-    """h_t = window-mean of token embeddings (clipped to the chunk) times the projection."""
+    """The encoder forward of one document: the one-document case of ``encode_docs``."""
     if plan.num_tokens != len(doc.tokens):
         raise ValueError(
             f"chunk plan covers {plan.num_tokens} tokens but document {doc.doc_id!r} has {len(doc.tokens)}"
         )
-    buckets = params.bucket_indices(doc.tokens)
-    mixed = window_means(params.table[buckets], plan, params.config.radius)
-    return EmbeddingMatrix(doc.doc_id, mixed @ params.projection)
+    rows, _ = encode_docs(params, [params.bucket_indices(doc.tokens)], [plan])
+    return EmbeddingMatrix(doc.doc_id, rows)
 
 
 def project_reduce(matrix: EmbeddingMatrix, reducer: np.ndarray) -> EmbeddingMatrix:
@@ -246,6 +258,10 @@ class EmbeddingProvider:
             if data.size != rows * self.d_model:
                 raise EmbeddingFormatError(f"truncated rows for doc {doc_id!r} in {self.path}")
         return EmbeddingMatrix(doc_id, data.reshape(rows, self.d_model).astype(np.float64))
+
+    def stacked(self, doc_ids: Iterable[str]) -> np.ndarray:
+        """Rows of the documents stacked in order: the provider's stand-in for ``encode_docs``."""
+        return np.vstack([self.get(doc_id).rows for doc_id in doc_ids])
 
     def validate_against(self, corpus: Corpus) -> None:
         """Every corpus document must be present with one row per token."""

@@ -4,12 +4,15 @@ Label convention: integers 0..N-1 index the episode's active types in order;
 N is the O / none-of-the-above class. Prototype matrices stack the N type
 vectors first and the NOTA vector(s) last, so an argmin over rows breaks
 ties toward type vectors and toward lower type indices.
+
+A support set is one ``(rows, labels)`` pair: all support tokens stacked in document order.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -70,8 +73,9 @@ class PrototypeSet:
     def n_types(self) -> int:
         return len(self.active_types)
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
+        """Type vectors then NOTA vectors, stacked once per prototype set."""
         return np.vstack([self.type_vectors, self.nota_vectors])
 
 
@@ -115,20 +119,14 @@ def class_counts(labels: np.ndarray, active_types: Sequence[str]) -> np.ndarray:
     return counts
 
 
-def compute_prototypes(
-    support: Sequence[tuple[np.ndarray, np.ndarray]],
-    active_types: Sequence[str],
-) -> PrototypeSet:
+def compute_prototypes(support: tuple[np.ndarray, np.ndarray], active_types: Sequence[str]) -> PrototypeSet:
     """Mean embedding per active type over all support tokens of that type.
 
     The O prototype is the mean of all support O tokens. A type with zero
     support tokens is an error, never a silent zero vector.
     """
-    if not support:
-        raise EmptyClassError("empty support set")
     n = len(active_types)
-    rows = np.vstack([mat for mat, _ in support])
-    labels = np.concatenate([lab for _, lab in support])
+    rows, labels = support
     if rows.shape[0] != labels.shape[0]:
         raise ValueError("support embeddings and labels disagree on token count")
     class_counts(labels, active_types)
@@ -189,21 +187,16 @@ def nearest_per_class(
     return dmin, umin
 
 
-def nnshot_classify(
-    support: Sequence[tuple[np.ndarray, np.ndarray]],
-    query: np.ndarray,
-    n_types: int,
-) -> TokenAssignment:
+def nnshot_classify(support: tuple[np.ndarray, np.ndarray], query: np.ndarray, n_types: int) -> TokenAssignment:
     """Token-level nearest neighbor under L1 distance in the reduced space.
 
     Each query token takes the label of its nearest support token; exact
     ties go to the lowest support-token index. The distance matrix holds the
     per-class minimum, O included as a class; an absent class gets +inf.
     """
-    if not support:
+    rows, labels = support
+    if labels.size == 0:
         raise EmptyClassError("empty support set")
-    rows = np.vstack([mat for mat, _ in support])
-    labels = np.concatenate([lab for _, lab in support])
     if query.shape[1] != rows.shape[1]:
         raise ValueError(f"query dimension {query.shape[1]} does not match support dimension {rows.shape[1]}")
     dmin, umin = nearest_per_class(query, rows, labels, n_types + 1)
@@ -285,7 +278,7 @@ def kmeans_nota(
 
 
 def build_mnav_prototypes(
-    support: Sequence[tuple[np.ndarray, np.ndarray]],
+    support: tuple[np.ndarray, np.ndarray],
     active_types: Sequence[str],
     k: int,
     seed: int | np.random.Generator,
@@ -293,10 +286,8 @@ def build_mnav_prototypes(
 ) -> PrototypeSet:
     """Type prototypes by averaging plus K NOTA vectors from clustering the O tokens."""
     base = compute_prototypes(support, active_types)
-    rows = np.vstack([mat for mat, _ in support])
-    labels = np.concatenate([lab for _, lab in support])
-    o_rows = rows[labels == len(active_types)]
-    result = kmeans_nota(o_rows, k, seed, max_iters)
+    rows, labels = support
+    result = kmeans_nota(rows[labels == len(active_types)], k, seed, max_iters)
     return PrototypeSet(
         active_types=base.active_types,
         type_vectors=base.type_vectors,

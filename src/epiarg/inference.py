@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from itertools import accumulate
 from typing import Sequence
 
-from .encoder import EmbeddingProvider, EncoderConfig, chunk_document, embed_tokens
+import numpy as np
+
+from .encoder import EmbeddingProvider, EncoderConfig, encode_docs
 from .evaluation import (
     EvalReport,
     FpFnCounts,
@@ -21,39 +24,33 @@ from .heads import (
     PrototypeSet,
     build_mnav_prototypes,
     compute_prototypes,
-    io_labels,
     mnav_classify,
     nnshot_classify,
     protonet_classify,
 )
 from .sampler import Episode
 from .seeds import substream
-from .trainer import ModelParams
+from .trainer import EpisodeTensors, ModelParams, episode_tensors
 
 
-def _doc_matrix(doc, params: ModelParams | None, provider: EmbeddingProvider | None, encoder_cfg: EncoderConfig):
+def _embedded_episode(
+    episode: Episode, params: ModelParams | None, provider: EmbeddingProvider | None, encoder_cfg: EncoderConfig
+) -> tuple[EpisodeTensors, tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The shared lowering, the stacked ``(rows, labels)`` support and the query rows. One encoder
+    forward covers both sides, or a provider's rows replace it; non-finite rows are rejected."""
+    tensors = episode_tensors(episode, params if provider is None else None, encoder_cfg.chunk_length)
     if provider is not None:
-        return provider.get(doc.doc_id).rows
-    assert params is not None, "either toy parameters or an embedding provider is required"
-    plan = chunk_document(len(doc.tokens), encoder_cfg.chunk_length)
-    return embed_tokens(params.encoder, doc, plan).rows
-
-
-def _episode_pairs(
-    episode: Episode,
-    params: ModelParams | None,
-    provider: EmbeddingProvider | None,
-    encoder_cfg: EncoderConfig,
-):
-    support = [
-        (_doc_matrix(doc, params, provider, encoder_cfg), io_labels(len(doc.tokens), doc.arguments, episode.active_types))
-        for doc in episode.support
-    ]
-    query = [
-        (_doc_matrix(doc, params, provider, encoder_cfg), io_labels(len(doc.tokens), doc.arguments, episode.active_types))
-        for doc in episode.query
-    ]
-    return support, query
+        rows = provider.stacked(doc.doc_id for doc in episode.support + episode.query)
+    else:
+        assert params is not None, "either toy parameters or an embedding provider is required"
+        buckets, plans = tensors.support_buckets + tensors.query_buckets, tensors.support_plans + tensors.query_plans
+        rows, _ = encode_docs(params.encoder, buckets, plans)
+    n_support = tensors.support_labels.shape[0]
+    if rows.shape[0] != n_support + tensors.query_labels.shape[0]:
+        raise ValueError(f"episode {episode.episode_id}: embeddings and labels disagree on token count")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError(f"episode {episode.episode_id}: embeddings contain non-finite entries")
+    return tensors, (rows[:n_support], tensors.support_labels), rows[n_support:]
 
 
 def _prototype_set(episode: Episode, support, head_cfg: HeadConfig, seed: int) -> PrototypeSet:
@@ -79,7 +76,7 @@ def episode_prototypes(
     seed: int = 0,
 ) -> PrototypeSet:
     """Prototype set this episode's support induces (K NOTA vectors for MNAV)."""
-    support, _ = _episode_pairs(episode, params, provider, encoder_cfg)
+    _, support, _ = _embedded_episode(episode, params, provider, encoder_cfg)
     return _prototype_set(episode, support, head_cfg, seed)
 
 
@@ -92,13 +89,14 @@ def run_episode(
     provider: EmbeddingProvider | None = None,
     seed: int = 0,
 ) -> tuple[MatchCounts, FpFnCounts]:
-    """Classify the episode's query tokens and score them span-exactly.
+    """Classify the episode's query tokens and score them span-exactly, one query document at a time.
 
     Gold spans are viewed through IO labels so predictions and references
     use the same notation (adjacent same-role gold spans merge).
     """
-    support, query = _episode_pairs(episode, params, provider, encoder_cfg)
-    n = len(episode.active_types)
+    tensors, support, query_rows = _embedded_episode(episode, params, provider, encoder_cfg)
+    ends = list(accumulate(plan.num_tokens for plan in tensors.query_plans))
+    query = [(query_rows[a:b], tensors.query_labels[a:b]) for a, b in zip([0] + ends, ends)]
 
     if head_cfg.name in ("protonet", "baseline_no_finetune", "mnav"):
         protos = _prototype_set(episode, support, head_cfg, seed)
@@ -107,14 +105,14 @@ def run_episode(
     elif head_cfg.name == "nnshot":
         if params is None or params.reducer is None:
             raise ValueError("nnshot inference requires reducer parameters")
-        reduced_support = [(mat @ params.reducer, lab) for mat, lab in support]
-        assignments = [nnshot_classify(reduced_support, mat @ params.reducer, n) for mat, _ in query]
+        reduced_support = (support[0] @ params.reducer, support[1])
+        assignments = [nnshot_classify(reduced_support, mat @ params.reducer, tensors.n_types) for mat, _ in query]
     else:
         raise ValueError(f"unknown head {head_cfg.name!r}")
 
     pred_spans, gold_spans = [], []
     tokens = FpFnCounts()
-    for (mat, gold), assignment in zip(query, assignments):
+    for (_, gold), assignment in zip(query, assignments):
         pred_str = labels_to_strings(assignment.labels, episode.active_types)
         gold_str = labels_to_strings(gold, episode.active_types)
         pred_spans.append(decode_spans(pred_str))

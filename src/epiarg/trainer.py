@@ -22,7 +22,7 @@ from .encoder import (
     EncoderConfig,
     ToyEncoderParams,
     chunk_document,
-    window_means,
+    encode_docs,
     window_means_backward,
 )
 from .heads import (
@@ -36,7 +36,7 @@ from .heads import (
     nearest_per_class,
     protonet_classify,
 )
-from .sampler import Episode, SamplerConfig, generate_episode_set, sample_episode, PoolIndex
+from .sampler import Episode, SamplerConfig, generate_episode_set
 from .seeds import substream
 
 _CKPT_MAGIC = b"FDCK"
@@ -164,7 +164,8 @@ class Gradients:
 
 @dataclass
 class EpisodeTensors:
-    """One episode lowered to bucket indices and integer IO labels."""
+    """One episode lowered to per-document bucket indices (none without parameters) and chunk
+    plans, and IO labels stacked per side in document order."""
 
     support_buckets: list[np.ndarray]
     support_plans: list[ChunkPlan]
@@ -179,11 +180,14 @@ class EpisodeTensors:
         return len(self.active_types)
 
 
-def episode_tensors(episode: Episode, params: ModelParams, chunk_length: int) -> EpisodeTensors:
+def episode_tensors(episode: Episode, params: ModelParams | None, chunk_length: int) -> EpisodeTensors:
+    """The one lowering of an episode for training and evaluation; ``params=None`` skips hashing."""
+
     def lower(docs):
         buckets, plans, labels = [], [], []
         for doc in docs:
-            buckets.append(params.encoder.bucket_indices(doc.tokens))
+            if params is not None:
+                buckets.append(params.encoder.bucket_indices(doc.tokens))
             plans.append(chunk_document(len(doc.tokens), chunk_length))
             labels.append(io_labels(len(doc.tokens), doc.arguments, episode.active_types))
         return buckets, plans, np.concatenate(labels) if labels else np.empty(0, dtype=np.int64)
@@ -215,34 +219,22 @@ def _softmax_ce_backward(logits: np.ndarray, gold: np.ndarray) -> tuple[float, n
     return loss, grad / n
 
 
-def _encode_docs(
-    params: ModelParams,
-    buckets: Sequence[np.ndarray],
-    plans: Sequence[ChunkPlan],
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward the encoder over documents; returns stacked H and per-doc window means."""
-    mixed = []
-    for b, plan in zip(buckets, plans):
-        mixed.append(window_means(params.encoder.table[b], plan, params.encoder.config.radius))
-    stacked = np.vstack(mixed)
-    return stacked @ params.encoder.projection, mixed
-
-
 def _encoder_backward(
     params: ModelParams,
     buckets: Sequence[np.ndarray],
     plans: Sequence[ChunkPlan],
-    mixed: Sequence[np.ndarray],
+    mixed: np.ndarray,
     d_hidden: np.ndarray,
     grads: Gradients,
 ) -> None:
     """Accumulate dL/dtable and dL/dprojection given dL/dH for stacked documents."""
     radius = params.encoder.config.radius
     offset = 0
-    for b, plan, m in zip(buckets, plans, mixed):
-        dh = d_hidden[offset : offset + len(b)]
+    for b, plan in zip(buckets, plans):
+        rows = slice(offset, offset + len(b))
         offset += len(b)
-        grads.projection += m.T @ dh
+        dh = d_hidden[rows]
+        grads.projection += mixed[rows].T @ dh
         dmixed = dh @ params.encoder.projection.T
         drows = window_means_backward(dmixed, plan, radius)
         grads.add_rows(b, drows)
@@ -267,13 +259,13 @@ def forward_backward(
     """
     grads = out if out is not None else Gradients.zeros_like(params)
     n = tensors.n_types
-    h_support, mixed_s = _encode_docs(params, tensors.support_buckets, tensors.support_plans)
-    h_query, mixed_q = _encode_docs(params, tensors.query_buckets, tensors.query_plans)
+    h_support, mixed_s = encode_docs(params.encoder, tensors.support_buckets, tensors.support_plans)
+    h_query, mixed_q = encode_docs(params.encoder, tensors.query_buckets, tensors.query_plans)
     support_labels, gold = tensors.support_labels, tensors.query_labels
     counts = class_counts(support_labels, tensors.active_types)
 
     if head_cfg.name in ("protonet", "mnav"):
-        protos = compute_prototypes([(h_support, support_labels)], tensors.active_types)
+        protos = compute_prototypes((h_support, support_labels), tensors.active_types)
         learned = n + 1  # prototype rows whose gradient flows back to support tokens
         if head_cfg.name == "mnav":
             if fixed_nota is not None:
@@ -456,10 +448,10 @@ def train(
     if train_cfg.episodes == 0:
         return Checkpoint(params=params, config=config_echo, episode=0, history=())
 
+    train_episodes = generate_episode_set(split.train, sampler_cfg, train_cfg.episodes, label="train").episodes
     dev_episodes = generate_episode_set(
         split.dev, sampler_cfg, train_cfg.dev_episodes, label="dev"
     ).episodes
-    train_index = PoolIndex(split.train)
 
     grads = Gradients.zeros_like(params)
     state = AdamState(params) if train_cfg.optimizer == "adamw" else None
@@ -469,9 +461,7 @@ def train(
     in_batch = 0
     log_handle = open(log_path, "w", encoding="utf-8") if log_path is not None else None
     try:
-        for i in range(train_cfg.episodes):
-            rng = substream(sampler_cfg.seed, "sampler", "train", i)
-            episode = sample_episode(train_index, sampler_cfg, rng, episode_id=i)
+        for i, episode in enumerate(train_episodes):
             tensors = episode_tensors(episode, params, encoder_cfg.chunk_length)
             loss, _ = forward_backward(
                 params,

@@ -150,7 +150,7 @@ def test_criterion_5_prototype_and_classification_oracles():
             rows = rng.normal(size=(int(rng.integers(n + 1, 40)), d))
             labels = rng.integers(0, n + 1, size=rows.shape[0])
             labels[: n + 1] = np.arange(n + 1)
-            protos = compute_prototypes([(rows, labels)], [f"T{i}" for i in range(n)])
+            protos = compute_prototypes((rows, labels), [f"T{i}" for i in range(n)])
             for c in range(n + 1):
                 expected = rows[labels == c].mean(axis=0)
                 actual = protos.type_vectors[c] if c < n else protos.nota_vectors[0]
@@ -180,7 +180,7 @@ def test_criterion_5_prototype_and_classification_oracles():
             labels = rng.integers(0, n + 1, size=s)
             labels[: n + 1] = np.arange(n + 1)
             query = rng.normal(size=(int(rng.integers(1, 30)), d))
-            out = nnshot_classify([(rows, labels)], query, n_types=n)
+            out = nnshot_classify((rows, labels), query, n_types=n)
             for t in range(query.shape[0]):
                 best_u, best_d = 0, np.inf
                 for u in range(s):
@@ -203,8 +203,8 @@ def test_criterion_6_mnav_reduction_and_kmeans_monotonicity():
             labels[: n + 1] = np.arange(n + 1)
             types = [f"T{i}" for i in range(n)]
             query = rng.normal(size=(int(rng.integers(1, 50)), d))
-            base = compute_prototypes([(rows, labels)], types)
-            mnav = build_mnav_prototypes([(rows, labels)], types, k=1, seed=trial)
+            base = compute_prototypes((rows, labels), types)
+            mnav = build_mnav_prototypes((rows, labels), types, k=1, seed=trial)
             np.testing.assert_array_equal(
                 protonet_classify(base, query).labels,
                 mnav_classify(mnav, query).labels,

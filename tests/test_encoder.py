@@ -11,6 +11,7 @@ from epiarg.encoder import (
     ToyEncoderParams,
     chunk_document,
     embed_tokens,
+    encode_docs,
     load_external_embeddings,
     project_reduce,
     stable_bucket,
@@ -96,6 +97,19 @@ class TestToyEncoder:
                     acc += params.table[buckets[u]]
                 expected[t] = (acc / (hi - lo)) @ params.projection
         np.testing.assert_allclose(out.rows, expected, atol=1e-9)
+
+    def test_stacked_forward_equals_per_document(self):
+        """One forward over documents stacked in order gives each document's ``embed_tokens`` rows."""
+        cfg = EncoderConfig(d_emb=16, d_model=12, radius=2, n_buckets=64, chunk_length=9)
+        rng = np.random.default_rng(6)
+        params = ToyEncoderParams.initialize(cfg, rng)
+        lengths = (3, 17, 40, 9)
+        docs = [make_doc(f"d{i}", [f"w{int(rng.integers(40))}" for _ in range(n)]) for i, n in enumerate(lengths)]
+        plans = [chunk_document(len(d.tokens), cfg.chunk_length) for d in docs]
+        rows, mixed = encode_docs(params, [params.bucket_indices(d.tokens) for d in docs], plans)
+        expected = np.vstack([embed_tokens(params, d, plan).rows for d, plan in zip(docs, plans)])
+        np.testing.assert_allclose(rows, expected, rtol=0, atol=1e-12)
+        assert mixed.shape == (sum(lengths), cfg.d_emb)
 
     def test_context_never_crosses_chunks(self):
         cfg = EncoderConfig(d_emb=4, d_model=4, radius=3, n_buckets=32, chunk_length=5)

@@ -32,7 +32,7 @@ class TestComputePrototypes:
     def test_mean_of_two_points(self):
         rows = np.array([[1.0, 0.0], [3.0, 0.0], [0.0, 5.0]])
         labels = np.array([0, 0, 1])  # two A tokens, one O token
-        protos = compute_prototypes([(rows, labels)], ["A"])
+        protos = compute_prototypes((rows, labels), ["A"])
         np.testing.assert_allclose(protos.type_vectors[0], [2.0, 0.0])
         np.testing.assert_allclose(protos.nota_vectors[0], [0.0, 5.0])
 
@@ -40,7 +40,7 @@ class TestComputePrototypes:
         rng = np.random.default_rng(0)
         rows = rng.normal(size=(3, 4))
         labels = np.array([0, 1, 2])
-        protos = compute_prototypes([(rows, labels)], ["A", "B"])
+        protos = compute_prototypes((rows, labels), ["A", "B"])
         np.testing.assert_array_equal(protos.type_vectors[0], rows[0])
         np.testing.assert_array_equal(protos.type_vectors[1], rows[1])
 
@@ -48,7 +48,7 @@ class TestComputePrototypes:
         """Oracle: per-class python-loop mean over a 50-token support."""
         rng = np.random.default_rng(1)
         rows, labels = random_support(rng, n_tokens=50, n_types=3)
-        protos = compute_prototypes([(rows[:30], labels[:30]), (rows[30:], labels[30:])], ["A", "B", "C"])
+        protos = compute_prototypes((rows, labels), ["A", "B", "C"])  # documents of 30 and 20 tokens, stacked
         for c in range(4):
             members = [rows[i] for i in range(50) if labels[i] == c]
             expected = np.sum(members, axis=0) / len(members)
@@ -59,13 +59,13 @@ class TestComputePrototypes:
         rows = np.zeros((2, 3))
         labels = np.array([0, 2])  # type B (index 1) missing
         with pytest.raises(EmptyClassError, match="B"):
-            compute_prototypes([(rows, labels)], ["A", "B"])
+            compute_prototypes((rows, labels), ["A", "B"])
 
     def test_missing_o_tokens_is_an_error(self):
         rows = np.zeros((2, 3))
         labels = np.array([0, 1])
         with pytest.raises(EmptyClassError, match="O"):
-            compute_prototypes([(rows, labels)], ["A", "B"])
+            compute_prototypes((rows, labels), ["A", "B"])
 
 
 class TestProtonetClassify:
@@ -112,7 +112,7 @@ class TestProtonetClassify:
 
 class TestNNShot:
     def test_single_support_token_labels_everything(self):
-        support = [(np.array([[1.0, 1.0]]), np.array([1]))]  # one token of type B
+        support = (np.array([[1.0, 1.0]]), np.array([1]))  # one token of type B
         out = nnshot_classify(support, np.random.default_rng(0).normal(size=(7, 2)), n_types=2)
         assert (out.labels == 1).all()
 
@@ -120,7 +120,7 @@ class TestNNShot:
         rng = np.random.default_rng(4)
         rows = rng.normal(size=(10, 3))
         labels = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 0])
-        out = nnshot_classify([(rows, labels)], rows[4:5].copy(), n_types=2)
+        out = nnshot_classify((rows, labels), rows[4:5].copy(), n_types=2)
         assert out.labels.tolist() == [1]
         assert out.distances[0, 1] == 0.0
 
@@ -134,10 +134,10 @@ class TestNNShot:
         for c in range(4):
             l1[c] = c
         query = rng.normal(size=(300, 4))
-        out = nnshot_classify([(s1, l1), (s2, l2)], query, n_types=3)
-
-        rows = np.vstack([s1, s2])
+        rows = np.vstack([s1, s2])  # two support documents, stacked in order
         labels = np.concatenate([l1, l2])
+        out = nnshot_classify((rows, labels), query, n_types=3)
+
         for t in range(300):
             best_u, best_d = 0, np.inf
             for u in range(rows.shape[0]):
@@ -161,7 +161,7 @@ class TestNNShot:
 
     def test_empty_support_rejected(self):
         with pytest.raises(EmptyClassError):
-            nnshot_classify([], np.zeros((1, 2)), n_types=1)
+            nnshot_classify((np.zeros((0, 2)), np.zeros(0, dtype=np.int64)), np.zeros((1, 2)), n_types=1)
 
 
 class TestKMeans:
@@ -214,8 +214,8 @@ class TestMNAV:
         rng = np.random.default_rng(10)
         rows, labels = random_support(rng, n_tokens=60, n_types=3, d=5)
         query = rng.normal(size=(80, 5))
-        protos = compute_prototypes([(rows, labels)], ["A", "B", "C"])
-        mnav_protos = build_mnav_prototypes([(rows, labels)], ["A", "B", "C"], k=1, seed=3)
+        protos = compute_prototypes((rows, labels), ["A", "B", "C"])
+        mnav_protos = build_mnav_prototypes((rows, labels), ["A", "B", "C"], k=1, seed=3)
         np.testing.assert_allclose(mnav_protos.nota_vectors, protos.nota_vectors, atol=1e-12)
         a = protonet_classify(protos, query)
         b = mnav_classify(mnav_protos, query)

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from epiarg.corpus import compute_split
-from epiarg.encoder import EncoderConfig, chunk_document, embed_tokens, write_external_embeddings, load_external_embeddings
+from epiarg.encoder import (
+    EmbeddingMatrix,
+    EncoderConfig,
+    chunk_document,
+    embed_tokens,
+    load_external_embeddings,
+    write_external_embeddings,
+)
 from epiarg.heads import HeadConfig
 from epiarg.inference import episode_prototypes, evaluate_episodes, run_episode
 from epiarg.sampler import SamplerConfig, generate_episode_set
@@ -43,6 +50,17 @@ class TestRunEpisode:
         params, _ = fresh_params("protonet")
         with pytest.raises(ValueError, match="reducer"):
             run_episode(episodes[0], params, HeadConfig("nnshot"), ENCODER)
+
+    def test_non_finite_query_embedding_rejected(self, episode_fixture):
+        """A NaN in a table row that only a query document uses stops evaluation."""
+        _, episodes = episode_fixture
+        params, head_cfg = fresh_params("protonet")
+        episode = episodes[0]
+        support_rows = {int(b) for d in episode.support for b in params.encoder.bucket_indices(d.tokens)}
+        query_rows = [int(b) for b in params.encoder.bucket_indices(episode.query[0].tokens)]
+        params.encoder.table[next(b for b in query_rows if b not in support_rows), 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            run_episode(episode, params, head_cfg, ENCODER)
 
     def test_prototype_export_shapes(self, episode_fixture):
         _, episodes = episode_fixture
@@ -84,6 +102,21 @@ class TestEvaluateEpisodes:
         toy = evaluate_episodes(episodes, params, head_cfg, ENCODER, seed=2)
         ext = evaluate_episodes(episodes, None, head_cfg, ENCODER, provider=provider, seed=2)
         assert abs(toy.macro_f1 - ext.macro_f1) < 1.0
+
+    def test_provider_rows_must_match_token_counts(self, episode_fixture, tmp_path):
+        """A provider document with one row more than its tokens is rejected, not misaligned."""
+        _, episodes = episode_fixture
+        params, head_cfg = fresh_params("protonet")
+        episode = episodes[0]
+        docs = episode.support + episode.query
+        extra = {episode.query[0].doc_id: 1}
+        mats = [
+            EmbeddingMatrix(d.doc_id, np.ones((len(d.tokens) + extra.get(d.doc_id, 0), ENCODER.d_model))) for d in docs
+        ]
+        write_external_embeddings(mats, tmp_path / "emb.fdae")
+        provider = load_external_embeddings(tmp_path / "emb.fdae")
+        with pytest.raises(ValueError, match="disagree"):
+            run_episode(episode, None, head_cfg, ENCODER, provider=provider)
 
     def test_type_disjointness_between_train_and_test_episodes(self):
         """Roles labeled in test episodes never appear labeled in train episodes."""

@@ -367,17 +367,13 @@ class TestSharedHeadKernels:
         active = episode.active_types
 
         def embedded(docs):
-            return [
-                (
-                    embed_tokens(params.encoder, d, chunk_document(len(d.tokens), TEST_ENCODER.chunk_length)).rows,
-                    io_labels(len(d.tokens), d.arguments, active),
-                )
-                for d in docs
-            ]
+            """Per-document ``embed_tokens`` rows and IO labels, stacked in document order."""
+            plans = [chunk_document(len(d.tokens), TEST_ENCODER.chunk_length) for d in docs]
+            rows = np.vstack([embed_tokens(params.encoder, d, plan).rows for d, plan in zip(docs, plans)])
+            return rows, np.concatenate([io_labels(len(d.tokens), d.arguments, active) for d in docs])
 
-        support, query = embedded(episode.support), embedded(episode.query)
-        h_query = np.vstack([rows for rows, _ in query])
-        gold = np.concatenate([labels for _, labels in query])
+        support = embedded(episode.support)
+        h_query, gold = embedded(episode.query)
         fixed_nota = None
         if head == "protonet":
             assignment = protonet_classify(compute_prototypes(support, active), h_query)
@@ -386,7 +382,7 @@ class TestSharedHeadKernels:
             fixed_nota = protos.nota_vectors
             assignment = mnav_classify(protos, h_query)
         else:
-            reduced = [(rows @ params.reducer, labels) for rows, labels in support]
+            reduced = (support[0] @ params.reducer, support[1])
             assignment = nnshot_classify(reduced, h_query @ params.reducer, len(active))
         tensors = episode_tensors(episode, params, TEST_ENCODER.chunk_length)
         loss, _ = forward_backward(params, tensors, head_cfg, fixed_nota=fixed_nota)
