@@ -19,17 +19,17 @@ from epiarg import (
 )
 from epiarg.synthetic import synthetic_corpus, three_way_specs
 
-workdir = Path(tempfile.mkdtemp(prefix="epiarg_demo_"))
-
 # --- 1. a corpus on disk -------------------------------------------------
 corpus = synthetic_corpus(seed=7, n_docs=300)
-path = workdir / "corpus.jsonl"
-write_corpus(corpus, path)
-corpus = parse_corpus(path)
+with tempfile.TemporaryDirectory(prefix="epiarg_demo_") as workdir:
+    path = Path(workdir) / "corpus.jsonl"
+    write_corpus(corpus, path)
+    corpus = parse_corpus(path)
+    first_record = path.read_text().splitlines()[0]
 
 stats = corpus_stats(corpus)
 print("corpus:", json.dumps(stats.to_dict(), indent=2))
-print("first record:", path.read_text().splitlines()[0][:120], "...")
+print("first record:", first_record[:120], "...")
 
 # --- 2. rare-type filtering ----------------------------------------------
 filtered = filter_rare_types(corpus, min_count=2)

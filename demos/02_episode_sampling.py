@@ -36,11 +36,12 @@ for n, d in ((3, 1), (3, 2), (6, 2)):
     )
 
 # --- 3. determinism ---------------------------------------------------------
-workdir = Path(tempfile.mkdtemp(prefix="epiarg_demo_"))
 cfg = SamplerConfig(n_ways=3, d_docs=1, seed=41)
-for name in ("a", "b"):
-    write_episodes(generate_episode_set(corpus, cfg, 200, label="det"), workdir / f"{name}.jsonl")
-same = (workdir / "a.jsonl").read_bytes() == (workdir / "b.jsonl").read_bytes()
+with tempfile.TemporaryDirectory(prefix="epiarg_demo_") as tmp:
+    workdir = Path(tmp)
+    for name in ("a", "b"):
+        write_episodes(generate_episode_set(corpus, cfg, 200, label="det"), workdir / f"{name}.jsonl")
+    same = (workdir / "a.jsonl").read_bytes() == (workdir / "b.jsonl").read_bytes()
 print(f"\nsame seed twice -> byte-identical episode files: {same}")
 
 # --- 4. balanced generation -------------------------------------------------

@@ -27,7 +27,6 @@ from .encoder import (
     embed_tokens,
     encode_docs,
     load_external_embeddings,
-    project_reduce,
     write_external_embeddings,
 )
 from .evaluation import (

@@ -182,15 +182,6 @@ def embed_tokens(params: ToyEncoderParams, doc: Document, plan: ChunkPlan) -> Em
     return EmbeddingMatrix(doc.doc_id, rows)
 
 
-def project_reduce(matrix: EmbeddingMatrix, reducer: np.ndarray) -> EmbeddingMatrix:
-    """Row-wise linear map into the reduced space used for token-to-token distances."""
-    if matrix.rows.shape[1] != reducer.shape[0]:
-        raise ValueError(
-            f"cannot reduce {matrix.rows.shape[1]}-dim rows with a {reducer.shape[0]}x{reducer.shape[1]} reducer"
-        )
-    return EmbeddingMatrix(matrix.doc_id, matrix.rows @ reducer)
-
-
 def write_external_embeddings(
     matrices: Iterable[EmbeddingMatrix],
     path: str | Path,

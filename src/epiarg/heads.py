@@ -19,6 +19,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 _QUERY_BLOCK = 256
+# Working memory `nearest_per_class` may hold beyond its (T, n_classes) outputs, the
+# class-sorted support copy included. On 1600-row supports 2-8 MiB ran equally fast,
+# and at 32 MiB the lanes outgrow the cache and it slows down.
+_L1_BLOCK_BYTES = 4 << 20
 
 
 class EmptyClassError(ValueError):
@@ -164,26 +168,83 @@ def protonet_classify(protos: PrototypeSet, query: np.ndarray) -> TokenAssignmen
 mnav_classify = protonet_classify
 
 
+def _l1_lane_arrays(d: int) -> int:
+    """How many (block, support) arrays ``_pairwise_l1`` holds at once for ``d`` dimensions."""
+    if d < 8:
+        return 2
+    if d <= 128:
+        return 9
+    half = d // 2
+    return 1 + _l1_lane_arrays(d - (half - half % 8))
+
+
+def _pairwise_l1(q_t: np.ndarray, s_t: np.ndarray, lo: int, n: int, tmp: np.ndarray) -> np.ndarray:
+    """Sum of |q - s| over dimensions lo..lo+n, added in the order of numpy's pairwise sum.
+
+    ``q_t`` is (d, B) and ``s_t`` is (d, S); the result is (B, S). Numpy sums a
+    contiguous row of fewer than 8 values sequentially, up to 128 values in 8
+    lanes combined as ((0+1)+(2+3))+((4+5)+(6+7)) with the remainder added
+    last, and longer rows by halves; following the same order one dimension
+    at a time gives the same bits as ``np.abs(q[:, None] - s[None]).sum(axis=2)``.
+    """
+
+    def term(j: int, out: np.ndarray) -> np.ndarray:
+        np.subtract.outer(q_t[j], s_t[j], out=out)
+        return np.abs(out, out=out)
+
+    shape = (q_t.shape[1], s_t.shape[1])
+    if n < 8:
+        total = term(lo, np.empty(shape))
+        for j in range(lo + 1, lo + n):
+            total += term(j, tmp)
+        return total
+    if n <= 128:
+        lanes = [term(lo + j, np.empty(shape)) for j in range(8)]
+        stop = lo + n - n % 8
+        for i in range(lo + 8, stop, 8):
+            for j in range(8):
+                lanes[j] += term(i + j, tmp)
+        for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+            lanes[a] += lanes[b]
+        for j in range(stop, lo + n):
+            lanes[0] += term(j, tmp)
+        return lanes[0]
+    half = n // 2
+    half -= half % 8
+    total = _pairwise_l1(q_t, s_t, lo, half, tmp)
+    total += _pairwise_l1(q_t, s_t, lo + half, n - half, tmp)
+    return total
+
+
 def nearest_per_class(
     query: np.ndarray, rows: np.ndarray, labels: np.ndarray, n_classes: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per query token and class: the least L1 distance to a row of that class, and that row's index.
 
     Returns two (T, n_classes) arrays. Ties go to the lowest row index; a class
-    with no rows gets +inf and -1. Memory is one block of query rows times all rows.
+    with no rows gets +inf and -1. Distances are bit-identical to numpy's
+    ``np.abs(q[:, None] - rows[None]).sum(axis=2)``. Query rows go in blocks sized
+    so the working arrays stay within ``_L1_BLOCK_BYTES`` (at least one row a block).
     """
     dmin = np.full((query.shape[0], n_classes), np.inf)
     umin = np.full((query.shape[0], n_classes), -1, dtype=np.int64)
-    members = [(c, np.flatnonzero(labels == c)) for c in range(n_classes)]
-    members = [(c, idx) for c, idx in members if idx.size]
-    for start in range(0, query.shape[0], _QUERY_BLOCK):
-        block = slice(start, start + _QUERY_BLOCK)
-        dist = np.abs(query[block, None, :] - rows[None, :, :]).sum(axis=2)
+    order = np.argsort(labels, kind="stable")  # each class contiguous, original order within it
+    bounds = np.searchsorted(labels[order], np.arange(n_classes + 1))
+    members = [(c, bounds[c], bounds[c + 1]) for c in range(n_classes) if bounds[c + 1] > bounds[c]]
+    s_t = rows.T[:, order].copy()  # (d, S) in class order
+    n_rows, d = rows.shape
+    row_bytes = 8 * n_rows * (_l1_lane_arrays(d) + 1)
+    fixed = s_t.nbytes + order.nbytes + (256 << 10)  # the sorted support, numpy's broadcast buffers
+    block = max(1, (_L1_BLOCK_BYTES - fixed) // row_bytes)
+    tmp = np.empty((block, n_rows))
+    for start in range(0, query.shape[0], block):
+        q_t = query[start : start + block].T.copy()
+        dist = _pairwise_l1(q_t, s_t, 0, d, tmp[: q_t.shape[1]])
         span = np.arange(dist.shape[0])
-        for c, idx in members:
-            best = idx[dist[:, idx].argmin(axis=1)]
-            umin[block, c] = best
-            dmin[block, c] = dist[span, best]
+        for c, lo, hi in members:
+            best = lo + dist[:, lo:hi].argmin(axis=1)
+            umin[start : start + block, c] = order[best]
+            dmin[start : start + block, c] = dist[span, best]
     return dmin, umin
 
 
@@ -217,6 +278,31 @@ class KMeansResult:
     @property
     def inertia(self) -> float:
         return self.inertia_history[-1]
+
+
+def _nearest_centroid(points: np.ndarray, norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Index of each point's squared-L2-nearest centroid, the same as ``squared_l2(...).argmin(axis=1)``.
+
+    Ranks by the GEMM form |p|^2 - 2 p.c + |c|^2 (``norms`` holds |p|^2). It and
+    ``squared_l2`` each lie within (d + 4) * eps * (|p| + |c|)^2 of the true
+    distance, so where the best two GEMM values are further apart than twice
+    both errors the two forms pick the same centroid. The other rows are ranked
+    again on ``squared_l2``, whose ties go to the lower index.
+    """
+    if centroids.shape[0] == 1:
+        return np.zeros(points.shape[0], dtype=np.int64)
+    c_norms = np.square(centroids).sum(axis=1)
+    approx = norms[None, :] - 2.0 * (centroids @ points.T) + c_norms[:, None]  # (k, n): reductions run across rows
+    nearest = approx.argmin(axis=0)
+    every = np.arange(points.shape[0])
+    best = approx[nearest, every]
+    approx[nearest, every] = np.inf
+    scale = np.sqrt(norms) + np.sqrt(c_norms.max())
+    bound = 4.0 * (points.shape[1] + 4) * np.finfo(np.float64).eps * np.square(scale)
+    near_tie = np.flatnonzero(approx.min(axis=0) - best <= bound)
+    if near_tie.size:
+        nearest[near_tie] = squared_l2(points[near_tie], centroids).argmin(axis=1)
+    return nearest
 
 
 def kmeans_nota(
@@ -254,10 +340,14 @@ def kmeans_nota(
 
     assignments = np.full(points.shape[0], -1, dtype=np.int64)
     history: list[float] = []
+    norms = np.square(points).sum(axis=1)
+    diff = np.empty_like(points)
     for iteration in range(1, max_iters + 1):
-        dist = squared_l2(points, centroids)
-        new_assignments = dist.argmin(axis=1)
-        history.append(float(dist[np.arange(points.shape[0]), new_assignments].sum()))
+        new_assignments = _nearest_centroid(points, norms, centroids)
+        # The same per-row sums as squared_l2's, so inertia and re-seeding use exact distances.
+        np.subtract(points, centroids[new_assignments], out=diff)
+        per_point = np.square(diff, out=diff).sum(axis=1)
+        history.append(float(per_point.sum()))
         if np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments
@@ -267,7 +357,6 @@ def kmeans_nota(
                 centroids[j] = points[mask].mean(axis=0)
             else:
                 # Re-seed an empty cluster on the point farthest from its centroid.
-                per_point = dist[np.arange(points.shape[0]), assignments]
                 centroids[j] = points[int(per_point.argmax())]
     return KMeansResult(
         centroids=centroids,

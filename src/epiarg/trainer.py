@@ -9,6 +9,7 @@ against central finite differences in the test suite.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -502,7 +503,11 @@ def train(
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Versioned binary: magic, config JSON blob, then named f32 tensors with shapes."""
+    """Versioned binary: magic, config JSON blob, then named f32 tensors with shapes.
+
+    The bytes go to a temporary file beside ``path`` that replaces it only once
+    complete, so a crash never leaves a half-written checkpoint at ``path``.
+    """
     meta = {
         "config": ckpt.config,
         "episode": ckpt.episode,
@@ -511,39 +516,54 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     }
     blob = json.dumps(meta, ensure_ascii=False).encode("utf-8")
     tensors = dict(ckpt.params.arrays())
-    with open(path, "wb") as handle:
-        handle.write(_CKPT_MAGIC)
-        handle.write(struct.pack("<I", _CKPT_VERSION))
-        handle.write(struct.pack("<Q", len(blob)))
-        handle.write(blob)
-        handle.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors.items():
-            encoded = name.encode("utf-8")
-            handle.write(struct.pack("<I", len(encoded)))
-            handle.write(encoded)
-            handle.write(struct.pack("<I", arr.ndim))
-            handle.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            handle.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(_CKPT_MAGIC)
+            handle.write(struct.pack("<I", _CKPT_VERSION))
+            handle.write(struct.pack("<Q", len(blob)))
+            handle.write(blob)
+            handle.write(struct.pack("<I", len(tensors)))
+            for name, arr in tensors.items():
+                encoded = name.encode("utf-8")
+                handle.write(struct.pack("<I", len(encoded)))
+                handle.write(encoded)
+                handle.write(struct.pack("<I", arr.ndim))
+                handle.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+                handle.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint written by ``save_checkpoint``; a file cut short is a ``ValueError`` naming it."""
+
+    def read(n: int) -> bytes:
+        offset = handle.tell()
+        if n > size - offset:  # checked before reading, so a corrupt length allocates nothing
+            raise ValueError(f"{path}: truncated checkpoint ({size - offset} of {n} bytes at offset {offset})")
+        return handle.read(n)
+
     with open(path, "rb") as handle:
-        if handle.read(4) != _CKPT_MAGIC:
+        size = os.fstat(handle.fileno()).st_size
+        if read(4) != _CKPT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", handle.read(4))
+        (version,) = struct.unpack("<I", read(4))
         if version != _CKPT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (blob_len,) = struct.unpack("<Q", handle.read(8))
-        meta = json.loads(handle.read(blob_len).decode("utf-8"))
-        (n_tensors,) = struct.unpack("<I", handle.read(4))
+        (blob_len,) = struct.unpack("<Q", read(8))
+        meta = json.loads(read(blob_len).decode("utf-8"))
+        (n_tensors,) = struct.unpack("<I", read(4))
         tensors: dict[str, np.ndarray] = {}
         for _ in range(n_tensors):
-            (name_len,) = struct.unpack("<I", handle.read(4))
-            name = handle.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", handle.read(4))
-            shape = struct.unpack(f"<{ndim}Q", handle.read(8 * ndim))
+            (name_len,) = struct.unpack("<I", read(4))
+            name = read(name_len).decode("utf-8")
+            (ndim,) = struct.unpack("<I", read(4))
+            shape = struct.unpack(f"<{ndim}Q", read(8 * ndim))
             count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(handle.read(count * 4), dtype="<f4").astype(np.float64)
+            data = np.frombuffer(read(count * 4), dtype="<f4").astype(np.float64)
             tensors[name] = data.reshape(shape)
     encoder_cfg = EncoderConfig.from_dict(meta["config"]["encoder"])
     encoder = ToyEncoderParams(

@@ -24,3 +24,4 @@ def test_demo_exits_zero(demo, tmp_path):
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
     )
     assert result.returncode == 0, result.stderr[-2000:]
+    assert not list(tmp_path.glob("epiarg_demo_*")), "the demo left its working directory behind"

@@ -13,7 +13,6 @@ from epiarg.encoder import (
     embed_tokens,
     encode_docs,
     load_external_embeddings,
-    project_reduce,
     stable_bucket,
     window_means,
     window_means_backward,
@@ -139,28 +138,6 @@ class TestToyEncoder:
             lhs = float((window_means(x, plan, radius) * y).sum())
             rhs = float((x * window_means_backward(y, plan, radius)).sum())
             assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-class TestProjectReduce:
-    def test_identity(self):
-        mat = EmbeddingMatrix("d", np.arange(12.0).reshape(3, 4))
-        np.testing.assert_array_equal(project_reduce(mat, np.eye(4)).rows, mat.rows)
-
-    def test_zero(self):
-        mat = EmbeddingMatrix("d", np.arange(12.0).reshape(3, 4))
-        assert not project_reduce(mat, np.zeros((4, 2))).rows.any()
-
-    def test_matmul_oracle(self):
-        rng = np.random.default_rng(6)
-        rows = rng.normal(size=(10, 8))
-        reducer = rng.normal(size=(8, 3))
-        out = project_reduce(EmbeddingMatrix("d", rows), reducer).rows
-        expected = np.array([[row @ reducer[:, j] for j in range(3)] for row in rows])
-        np.testing.assert_allclose(out, expected, atol=1e-9)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="reduce"):
-            project_reduce(EmbeddingMatrix("d", np.zeros((2, 4))), np.zeros((5, 2)))
 
 
 class TestExternalEmbeddings:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from epiarg import heads
 from epiarg.heads import (
     EmptyClassError,
     HeadConfig,
@@ -162,6 +165,129 @@ class TestNNShot:
     def test_empty_support_rejected(self):
         with pytest.raises(EmptyClassError):
             nnshot_classify((np.zeros((0, 2)), np.zeros(0, dtype=np.int64)), np.zeros((1, 2)), n_types=1)
+
+
+def broadcast_nearest_per_class(query, rows, labels, n_classes):
+    """Reference: numpy's own broadcast L1 sum, then a fancy-indexed argmin per class."""
+    dist = np.abs(query[:, None, :] - rows[None, :, :]).sum(axis=2)
+    dmin = np.full((query.shape[0], n_classes), np.inf)
+    umin = np.full((query.shape[0], n_classes), -1, dtype=np.int64)
+    for c in range(n_classes):
+        idx = np.flatnonzero(labels == c)
+        if idx.size:
+            umin[:, c] = idx[dist[:, idx].argmin(axis=1)]
+            dmin[:, c] = dist[np.arange(query.shape[0]), umin[:, c]]
+    return dmin, umin
+
+
+class TestL1Kernel:
+    """``nearest_per_class`` adds in numpy's pairwise order, so it must match numpy bit for bit."""
+
+    @pytest.mark.parametrize("budget", ["module", 0])  # 0 forces one query row per block
+    @pytest.mark.parametrize("d", [3, 8, 13, 32, 64, 100])
+    def test_bit_identical_to_broadcast_sum(self, d, budget, monkeypatch):
+        if budget != "module":
+            monkeypatch.setattr(heads, "_L1_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(d)
+        scales = 10.0 ** rng.uniform(-3, 3, size=d)  # mixed magnitudes make the summation order show
+        rows = rng.normal(size=(300, d)) * scales
+        rows[:40] = np.round(rows[:40])  # whole numbers give exact ties
+        labels = rng.integers(0, 4, size=300)  # class 4 is absent
+        query = rng.normal(size=(401, d)) * scales  # 401 is prime: no block size divides it
+        query[:50] = rows[:50]  # zero distances and exact ties
+        dmin, umin = nearest_per_class(query, rows, labels, 5)
+        ref_d, ref_u = broadcast_nearest_per_class(query, rows, labels, 5)
+        assert np.array_equal(dmin, ref_d)
+        assert np.array_equal(umin, ref_u)
+        assert np.all(dmin[:, 4] == np.inf) and np.all(umin[:, 4] == -1)
+
+    def test_one_row_support(self):
+        rng = np.random.default_rng(3)
+        rows, query = rng.normal(size=(1, 13)), rng.normal(size=(7, 13))
+        dmin, umin = nearest_per_class(query, rows, np.array([1]), 3)
+        assert np.array_equal(dmin[:, 1], np.abs(query - rows[0]).sum(axis=1))
+        assert np.all(umin[:, 1] == 0)
+        assert np.all(dmin[:, [0, 2]] == np.inf) and np.all(umin[:, [0, 2]] == -1)
+
+    def test_working_memory_within_budget(self):
+        rng = np.random.default_rng(4)
+        rows = rng.normal(size=(2000, 32))
+        labels = rng.integers(0, 4, size=2000)
+        query = rng.normal(size=(300, 32))
+        tracemalloc.start()
+        try:
+            dmin, umin = nearest_per_class(query, rows, labels, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= heads._L1_BLOCK_BYTES + dmin.nbytes + umin.nbytes
+
+
+def broadcast_kmeans(points, k, seed, max_iters=100):
+    """Reference Lloyd's algorithm on exact broadcast distances; also counts empty-cluster re-seeds."""
+
+    def exact(p, c):
+        return np.square(p[:, None, :] - c[None, :, :]).sum(axis=2)
+
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[int(rng.integers(points.shape[0]))]
+    closest = exact(points, centroids[:1])[:, 0]
+    for j in range(1, k):
+        total = closest.sum()
+        pick = int(rng.choice(points.shape[0], p=closest / total)) if total > 0 else int(rng.integers(points.shape[0]))
+        centroids[j] = points[pick]
+        closest = np.minimum(closest, exact(points, centroids[j : j + 1])[:, 0])
+    assignments = np.full(points.shape[0], -1, dtype=np.int64)
+    history, reseeds = [], 0
+    for _ in range(max_iters):
+        dist = exact(points, centroids)
+        new = dist.argmin(axis=1)
+        per_point = dist[np.arange(points.shape[0]), new]
+        history.append(float(per_point.sum()))
+        if np.array_equal(new, assignments):
+            break
+        assignments = new
+        for j in range(k):
+            mask = assignments == j
+            if mask.any():
+                centroids[j] = points[mask].mean(axis=0)
+            else:
+                centroids[j] = points[int(per_point.argmax())]
+                reseeds += 1
+    return centroids, assignments, tuple(history), reseeds
+
+
+class TestKMeansNearTies:
+    """The GEMM-ranked Lloyd step must reproduce exact-distance k-means even where distances tie."""
+
+    def check(self, points, k, seed):
+        centroids, assignments, history, reseeds = broadcast_kmeans(points, k, seed)
+        result = kmeans_nota(points, k, seed)
+        assert np.array_equal(result.assignments, assignments)
+        assert np.array_equal(result.centroids, centroids)
+        assert result.inertia_history == history
+        return reseeds
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_integer_grid(self, scale, offset):
+        rng = np.random.default_rng(int(scale * 1000) + int(offset))
+        for trial in range(5):
+            points = rng.integers(0, 3, size=(int(rng.integers(20, 200)), int(rng.choice([2, 5, 64])))) * scale + offset
+            self.check(points, int(rng.integers(2, 9)), trial)
+
+    def test_duplicated_points(self):
+        rng = np.random.default_rng(11)
+        for trial in range(5):
+            distinct = rng.normal(size=(6, 16))
+            points = distinct[rng.integers(0, 6, size=120)]
+            self.check(points, 4, trial)
+
+    def test_empty_cluster_reseed(self):
+        """Three distinct points and k = 5: duplicate centroids leave clusters empty."""
+        points = np.repeat(np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 0.0]]), 4, axis=0)
+        assert sum(self.check(points, 5, seed) for seed in range(4)) > 0
 
 
 class TestKMeans:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -551,6 +552,23 @@ class TestCheckpointFormat:
         p2 = tmp_path / "b.fdck"
         save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_truncated_file_is_reported(self, tmp_path):
+        split_corpus, spec = separable_corpus(1, n_event_types=4, docs_per_event=8)
+        split = compute_split(split_corpus, spec)
+        sampler_cfg = SamplerConfig(n_ways=3, d_docs=1, seed=1)
+        train_cfg = TrainConfig(episodes=2, learning_rate=0.02, validate_every=2, seed=1, dev_episodes=2)
+        encoder_cfg = EncoderConfig(d_emb=4, d_model=4, radius=1, n_buckets=16, chunk_length=32)
+        path = tmp_path / "full.fdck"
+        save_checkpoint(train(split, sampler_cfg, train_cfg, HeadConfig("nnshot"), encoder_cfg), path)
+        assert [p.name for p in tmp_path.iterdir()] == ["full.fdck"]  # no temporary file left behind
+        data = path.read_bytes()
+        cut = tmp_path / "cut.fdck"
+        # Inside the magic, the version, the blob length, the blob, a tensor header and the last tensor.
+        for size in (0, 2, 6, 12, 20, data.index(b"table") + 2, data.index(b"table") + 10, len(data) - 1):
+            cut.write_bytes(data[:size])
+            with pytest.raises(ValueError, match=re.escape(f"{cut}: truncated checkpoint")):
+                load_checkpoint(cut)
 
     def test_magic_check(self, tmp_path):
         path = tmp_path / "junk.fdck"
