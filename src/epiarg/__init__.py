@@ -33,7 +33,6 @@ from .evaluation import (
     EvalReport,
     aggregate,
     decode_spans,
-    encode_spans,
     fp_fn_analysis,
     score_episode,
 )

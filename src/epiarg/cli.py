@@ -268,8 +268,8 @@ def cmd_train(cfg: RunConfig) -> None:
         log_path=cfg.out / "train_log.jsonl",
     )
     save_checkpoint(ckpt, cfg.out / "checkpoint.fdck")
-    best = max((f for _, f in ckpt.history), default=float("nan"))
-    print(f"trained {cfg.head.name} for {ckpt.episode} episodes; best dev macro-F1 {best:.2f}")
+    best = f"best dev macro-F1 {ckpt.best_f1:.2f}" if ckpt.history else "no dev validation ran"
+    print(f"trained {cfg.head.name} for {ckpt.episode} episodes; {best}")
 
 
 def _eval_params(cfg: RunConfig, provider_dim: int | None):

@@ -113,9 +113,6 @@ class Corpus:
     def __iter__(self):
         return iter(self.documents)
 
-    def event_type_counts(self) -> Counter:
-        return Counter(doc.event_type for doc in self.documents)
-
     def role_counts(self) -> Counter:
         """Annotated-instance count per argument role."""
         counts: Counter = Counter()

@@ -8,6 +8,7 @@ crosses a chunk boundary.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 from itertools import accumulate
@@ -193,29 +194,42 @@ def write_external_embeddings(
     Layout: magic "FDAE", u32 version, u32 d_model, u64 doc count, then per
     document: u32 id byte length, id bytes, u64 row count, rows f32 LE
     row-major. A plain-text ``<path>.idx`` maps doc_id to byte offset.
+
+    The bytes go to temporary files beside the targets that replace them only
+    once complete, so a failure never leaves a half-written file or index.
     """
     matrices = list(matrices)
     if not matrices:
         raise ValueError("no matrices to write")
     d_model = matrices[0].rows.shape[1]
+    path = Path(path)
+    index_path = Path(str(path) + ".idx")
+    tmp, tmp_index = (p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in (path, index_path))
     offsets: list[tuple[str, int]] = []
-    with open(path, "wb") as handle:
-        handle.write(_MAGIC)
-        handle.write(struct.pack("<II", _VERSION, d_model))
-        handle.write(struct.pack("<Q", len(matrices)))
-        for mat in matrices:
-            if mat.rows.shape[1] != d_model:
-                raise ValueError(f"matrix {mat.doc_id!r} has dim {mat.rows.shape[1]}, expected {d_model}")
-            offsets.append((mat.doc_id, handle.tell()))
-            encoded = mat.doc_id.encode("utf-8")
-            handle.write(struct.pack("<I", len(encoded)))
-            handle.write(encoded)
-            handle.write(struct.pack("<Q", mat.rows.shape[0]))
-            handle.write(np.ascontiguousarray(mat.rows, dtype="<f4").tobytes())
-    if write_index:
-        with open(str(path) + ".idx", "w", encoding="utf-8") as idx:
-            for doc_id, offset in offsets:
-                idx.write(f"{doc_id}\t{offset}\n")
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(_MAGIC)
+            handle.write(struct.pack("<II", _VERSION, d_model))
+            handle.write(struct.pack("<Q", len(matrices)))
+            for mat in matrices:
+                if mat.rows.shape[1] != d_model:
+                    raise ValueError(f"matrix {mat.doc_id!r} has dim {mat.rows.shape[1]}, expected {d_model}")
+                offsets.append((mat.doc_id, handle.tell()))
+                encoded = mat.doc_id.encode("utf-8")
+                handle.write(struct.pack("<I", len(encoded)))
+                handle.write(encoded)
+                handle.write(struct.pack("<Q", mat.rows.shape[0]))
+                handle.write(np.ascontiguousarray(mat.rows, dtype="<f4").tobytes())
+        if write_index:
+            with open(tmp_index, "w", encoding="utf-8") as idx:
+                for doc_id, offset in offsets:
+                    idx.write(f"{doc_id}\t{offset}\n")
+        os.replace(tmp, path)
+        if write_index:
+            os.replace(tmp_index, index_path)
+    finally:
+        tmp.unlink(missing_ok=True)
+        tmp_index.unlink(missing_ok=True)
 
 
 class EmbeddingProvider:
@@ -234,34 +248,49 @@ class EmbeddingProvider:
         return list(self._offsets)
 
     def get(self, doc_id: str) -> EmbeddingMatrix:
+        """The document's rows; a file cut short is an ``EmbeddingFormatError`` naming it and the document."""
         if doc_id not in self._offsets:
             raise EmbeddingFormatError(f"doc_id {doc_id!r} not present in {self.path}")
+
+        def read(n: int, what: str) -> bytes:
+            offset = handle.tell()
+            if n > size - offset:  # checked before reading, so a corrupt length allocates nothing
+                raise EmbeddingFormatError(
+                    f"{self.path}: truncated {what} of doc {doc_id!r} "
+                    f"({max(0, size - offset)} of {n} bytes at offset {offset})"
+                )
+            return handle.read(n)
+
         with open(self.path, "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
             handle.seek(self._offsets[doc_id])
-            (id_len,) = struct.unpack("<I", handle.read(4))
-            stored_id = handle.read(id_len).decode("utf-8")
+            (id_len,) = struct.unpack("<I", read(4, "id length"))
+            stored_id = read(id_len, "id").decode("utf-8")
             if stored_id != doc_id:
                 raise EmbeddingFormatError(
                     f"index for {self.path} is stale: expected {doc_id!r} at offset, found {stored_id!r}"
                 )
-            (rows,) = struct.unpack("<Q", handle.read(8))
-            data = np.frombuffer(handle.read(rows * self.d_model * 4), dtype="<f4")
-            if data.size != rows * self.d_model:
-                raise EmbeddingFormatError(f"truncated rows for doc {doc_id!r} in {self.path}")
+            (rows,) = struct.unpack("<Q", read(8, "row count"))
+            data = np.frombuffer(read(rows * self.d_model * 4, "rows"), dtype="<f4")
         return EmbeddingMatrix(doc_id, data.reshape(rows, self.d_model).astype(np.float64))
 
-    def stacked(self, doc_ids: Iterable[str]) -> np.ndarray:
-        """Rows of the documents stacked in order: the provider's stand-in for ``encode_docs``."""
-        return np.vstack([self.get(doc_id).rows for doc_id in doc_ids])
+    def rows_of(self, doc: Document) -> np.ndarray:
+        """The document's rows, checked to number one per token."""
+        rows = self.get(doc.doc_id).rows
+        if rows.shape[0] != len(doc.tokens):
+            raise EmbeddingFormatError(
+                f"doc {doc.doc_id!r}: {rows.shape[0]} embedding rows and {len(doc.tokens)} tokens disagree"
+            )
+        return rows
+
+    def stacked(self, docs: Iterable[Document]) -> np.ndarray:
+        """Rows of the documents stacked in order, each read and checked once."""
+        return np.vstack([self.rows_of(doc) for doc in docs])
 
     def validate_against(self, corpus: Corpus) -> None:
         """Every corpus document must be present with one row per token."""
         for doc in corpus:
-            mat = self.get(doc.doc_id)
-            if mat.rows.shape[0] != len(doc.tokens):
-                raise EmbeddingFormatError(
-                    f"doc {doc.doc_id!r}: {mat.rows.shape[0]} embedding rows for {len(doc.tokens)} tokens"
-                )
+            self.rows_of(doc)
 
 
 def load_external_embeddings(path: str | Path) -> EmbeddingProvider:

@@ -41,15 +41,6 @@ def decode_spans(labels: Sequence[str], o_label: str = O_LABEL) -> set[Span]:
     return spans
 
 
-def encode_spans(spans: Iterable[Span], num_tokens: int, o_label: str = O_LABEL) -> list[str]:
-    """Inverse of ``decode_spans`` for non-overlapping span sets."""
-    labels = [o_label] * num_tokens
-    for start, end, role in spans:
-        for i in range(start, end):
-            labels[i] = role
-    return labels
-
-
 class MatchCounts:
     """Per-role TP/FP/FN counters; merges associatively across episodes."""
 

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .encoder import EmbeddingProvider, EncoderConfig, encode_docs
+from .corpus import Document
+from .encoder import EmbeddingProvider, EncoderConfig, ToyEncoderParams, chunk_document, encode_docs
 from .evaluation import (
     EvalReport,
     FpFnCounts,
@@ -32,25 +33,77 @@ from .sampler import Episode
 from .seeds import substream
 from .trainer import EpisodeTensors, ModelParams, episode_tensors
 
+# Token rows per stacked encoder forward while encoding a document cache. It bounds the transient
+# gathered-table, window-mean and projected arrays at 1 MB each for d = 64.
+_ENCODE_BATCH_ROWS = 2048
+
+
+def _batches(docs: Iterable[Document]) -> Iterator[list[Document]]:
+    """Runs of consecutive documents of at most ``_ENCODE_BATCH_ROWS`` rows; a longer document makes a
+    run of its own. No run is a single row: numpy multiplies one row with another BLAS kernel (gemv)
+    than a stack (gemm), which would change the row's last bits."""
+    batch: list[Document] = []
+    n_rows = 0
+    for doc in docs:
+        if n_rows > 1 and len(doc.tokens) > 1 and n_rows + len(doc.tokens) > _ENCODE_BATCH_ROWS:
+            yield batch
+            batch, n_rows = [], 0
+        batch.append(doc)
+        n_rows += len(doc.tokens)
+    if batch:
+        yield batch
+
+
+class _EncodedDocs:
+    """Toy-encoder rows of distinct documents under fixed parameters, keyed by doc_id.
+
+    The documents are hashed once and encoded in stacked batches (``_batches``).
+    A document's rows do not depend on the other rows of its stack, so they
+    equal those of any other stacked forward bit for bit. Each document's rows
+    are checked for finiteness once, here. The cache holds one f64 row per token.
+    """
+
+    def __init__(self, encoder: ToyEncoderParams, docs: Iterable[Document], chunk_length: int):
+        unique: dict[str, Document] = {}
+        for doc in docs:
+            unique.setdefault(doc.doc_id, doc)
+        self._rows: dict[str, np.ndarray] = {}
+        for batch in _batches(unique.values()):
+            plans = [chunk_document(len(doc.tokens), chunk_length) for doc in batch]
+            rows, _ = encode_docs(encoder, [encoder.bucket_indices(doc.tokens) for doc in batch], plans)
+            ends = list(accumulate(plan.num_tokens for plan in plans))
+            for doc, start, end in zip(batch, [0] + ends, ends):
+                if not np.all(np.isfinite(rows[start:end])):
+                    raise ValueError(f"doc {doc.doc_id!r}: embeddings contain non-finite entries")
+                self._rows[doc.doc_id] = rows[start:end]
+
+    def stacked(self, docs: Iterable[Document]) -> np.ndarray:
+        """Rows of the documents stacked in order, as ``EmbeddingProvider.stacked`` gives them."""
+        return np.vstack([self._rows[doc.doc_id] for doc in docs])
+
+
+RowSource = EmbeddingProvider | _EncodedDocs
+
+
+def _row_source(
+    docs: Iterable[Document], params: ModelParams | None, provider: RowSource | None, chunk_length: int
+) -> RowSource:
+    """Where rows come from: the given source, or the documents encoded once under ``params``."""
+    if provider is not None:
+        return provider
+    assert params is not None, "either toy parameters or an embedding provider is required"
+    return _EncodedDocs(params.encoder, docs, chunk_length)
+
 
 def _embedded_episode(
-    episode: Episode, params: ModelParams | None, provider: EmbeddingProvider | None, encoder_cfg: EncoderConfig
+    episode: Episode, params: ModelParams | None, provider: RowSource | None, encoder_cfg: EncoderConfig
 ) -> tuple[EpisodeTensors, tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """The shared lowering, the stacked ``(rows, labels)`` support and the query rows. One encoder
-    forward covers both sides, or a provider's rows replace it; non-finite rows are rejected."""
-    tensors = episode_tensors(episode, params if provider is None else None, encoder_cfg.chunk_length)
-    if provider is not None:
-        rows = provider.stacked(doc.doc_id for doc in episode.support + episode.query)
-    else:
-        assert params is not None, "either toy parameters or an embedding provider is required"
-        buckets, plans = tensors.support_buckets + tensors.query_buckets, tensors.support_plans + tensors.query_plans
-        rows, _ = encode_docs(params.encoder, buckets, plans)
-    n_support = tensors.support_labels.shape[0]
-    if rows.shape[0] != n_support + tensors.query_labels.shape[0]:
-        raise ValueError(f"episode {episode.episode_id}: embeddings and labels disagree on token count")
-    if not np.all(np.isfinite(rows)):
-        raise ValueError(f"episode {episode.episode_id}: embeddings contain non-finite entries")
-    return tensors, (rows[:n_support], tensors.support_labels), rows[n_support:]
+    """The shared lowering (without hashing), the stacked ``(rows, labels)`` support and the query
+    rows, taken by document from the row source; without one, this episode's documents are encoded."""
+    source = _row_source(episode.support + episode.query, params, provider, encoder_cfg.chunk_length)
+    tensors = episode_tensors(episode, None, encoder_cfg.chunk_length)
+    support = (source.stacked(episode.support), tensors.support_labels)
+    return tensors, support, source.stacked(episode.query)
 
 
 def _prototype_set(episode: Episode, support, head_cfg: HeadConfig, seed: int) -> PrototypeSet:
@@ -72,7 +125,7 @@ def episode_prototypes(
     head_cfg: HeadConfig,
     encoder_cfg: EncoderConfig,
     *,
-    provider: EmbeddingProvider | None = None,
+    provider: RowSource | None = None,
     seed: int = 0,
 ) -> PrototypeSet:
     """Prototype set this episode's support induces (K NOTA vectors for MNAV)."""
@@ -86,13 +139,16 @@ def run_episode(
     head_cfg: HeadConfig,
     encoder_cfg: EncoderConfig,
     *,
-    provider: EmbeddingProvider | None = None,
+    provider: RowSource | None = None,
     seed: int = 0,
 ) -> tuple[MatchCounts, FpFnCounts]:
     """Classify the episode's query tokens and score them span-exactly, one query document at a time.
 
-    Gold spans are viewed through IO labels so predictions and references
-    use the same notation (adjacent same-role gold spans merge).
+    Rows come from ``provider`` (an external embedding file, or documents
+    ``evaluate_episodes`` encoded once); without one, the episode's documents
+    are encoded under ``params``. Gold spans are viewed through IO labels so
+    predictions and references use the same notation (adjacent same-role gold
+    spans merge).
     """
     tensors, support, query_rows = _embedded_episode(episode, params, provider, encoder_cfg)
     ends = list(accumulate(plan.num_tokens for plan in tensors.query_plans))
@@ -121,6 +177,20 @@ def run_episode(
     return score_episode(pred_spans, gold_spans, episode.active_types), tokens
 
 
+def _run_chunk(
+    episodes: Sequence[Episode],
+    params: ModelParams | None,
+    head_cfg: HeadConfig,
+    encoder_cfg: EncoderConfig,
+    provider: EmbeddingProvider | None,
+    seed: int,
+) -> list[tuple[MatchCounts, FpFnCounts]]:
+    """Run each episode against rows of the chunk's documents, encoded once for the whole chunk."""
+    docs = (doc for episode in episodes for doc in episode.support + episode.query)
+    source = _row_source(docs, params, provider, encoder_cfg.chunk_length)
+    return [run_episode(ep, params, head_cfg, encoder_cfg, provider=source, seed=seed) for ep in episodes]
+
+
 _EVAL_CTX: dict = {}
 
 
@@ -136,9 +206,8 @@ def _init_eval_worker(params, head_cfg, encoder_cfg, provider_path, seed):
     )
 
 
-def _run_eval_worker(episode: Episode):
-    params, head_cfg, encoder_cfg, provider, seed = _EVAL_CTX["args"]
-    return run_episode(episode, params, head_cfg, encoder_cfg, provider=provider, seed=seed)
+def _run_eval_worker(episodes: Sequence[Episode]):
+    return _run_chunk(episodes, *_EVAL_CTX["args"])
 
 
 def evaluate_episodes(
@@ -152,21 +221,24 @@ def evaluate_episodes(
     workers: int = 1,
     per_episode_macro: bool = False,
 ) -> EvalReport:
-    """Score a set of episodes; deterministic for fixed inputs and any worker count."""
+    """Score a set of episodes; deterministic for fixed inputs and any worker count.
+
+    Toy-encoder rows are computed once per distinct document of the set (once
+    per worker with ``workers > 1``, each of which takes one contiguous chunk).
+    """
     if not episodes:
         raise ValueError("no episodes to evaluate")
     if workers > 1:
+        n = len(episodes)
+        chunks = [episodes[i * n // workers : (i + 1) * n // workers] for i in range(workers)]
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_eval_worker,
             initargs=(params, head_cfg, encoder_cfg, str(provider.path) if provider else None, seed),
         ) as executor:
-            results = list(executor.map(_run_eval_worker, episodes, chunksize=max(1, len(episodes) // (workers * 4))))
+            results = [result for chunk in executor.map(_run_eval_worker, chunks) for result in chunk]
     else:
-        results = [
-            run_episode(ep, params, head_cfg, encoder_cfg, provider=provider, seed=seed)
-            for ep in episodes
-        ]
+        results = _run_chunk(episodes, params, head_cfg, encoder_cfg, provider, seed)
     counts = [match for match, _ in results]
     tokens = FpFnCounts()
     for _, t in results:

@@ -94,6 +94,23 @@ class TestWorkflow:
         header = (out / "prototypes.csv").read_text().splitlines()[0]
         assert header.startswith("label,dim_0")
 
+    def test_train_prints_best_dev_f1(self, workspace, capsys):
+        """The summary names the checkpoint's best dev F1, or says no validation ran."""
+        from epiarg.trainer import load_checkpoint
+
+        tmp_path, config_path, config = workspace
+        assert run(config_path, "split") == 0
+        assert run(config_path, "sample") == 0
+        capsys.readouterr()
+        assert run(config_path, "train") == 0
+        best = load_checkpoint(tmp_path / "out" / "checkpoint.fdck").best_f1
+        assert capsys.readouterr().out == f"trained protonet for 4 episodes; best dev macro-F1 {best:.2f}\n"
+
+        config["train"]["episodes"] = 0
+        config_path.write_text(json.dumps(config))
+        assert run(config_path, "train") == 0
+        assert capsys.readouterr().out == "trained protonet for 0 episodes; no dev validation ran\n"
+
     def test_eval_without_training_is_fine(self, workspace):
         tmp_path, config_path, _ = workspace
         assert run(config_path, "split") == 0

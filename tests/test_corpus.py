@@ -153,7 +153,7 @@ class TestFilterRareTypes:
     def test_surviving_types_meet_threshold(self):
         corpus = synthetic_corpus(seed=9, n_docs=80)
         filtered = filter_rare_types(corpus, 3)
-        assert all(c >= 3 for c in filtered.event_type_counts().values())
+        assert all(c >= 3 for c in Counter(doc.event_type for doc in filtered).values())
         assert all(c >= 3 for c in filtered.role_counts().values())
 
 

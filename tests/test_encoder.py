@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from epiarg.encoder import (
     window_means_backward,
     write_external_embeddings,
 )
+from epiarg.inference import _ENCODE_BATCH_ROWS
 
 
 def make_doc(doc_id, tokens):
@@ -98,17 +101,23 @@ class TestToyEncoder:
         np.testing.assert_allclose(out.rows, expected, atol=1e-9)
 
     def test_stacked_forward_equals_per_document(self):
-        """One forward over documents stacked in order gives each document's ``embed_tokens`` rows."""
-        cfg = EncoderConfig(d_emb=16, d_model=12, radius=2, n_buckets=64, chunk_length=9)
-        rng = np.random.default_rng(6)
-        params = ToyEncoderParams.initialize(cfg, rng)
-        lengths = (3, 17, 40, 9)
-        docs = [make_doc(f"d{i}", [f"w{int(rng.integers(40))}" for _ in range(n)]) for i, n in enumerate(lengths)]
-        plans = [chunk_document(len(d.tokens), cfg.chunk_length) for d in docs]
-        rows, mixed = encode_docs(params, [params.bucket_indices(d.tokens) for d in docs], plans)
-        expected = np.vstack([embed_tokens(params, d, plan).rows for d, plan in zip(docs, plans)])
-        np.testing.assert_allclose(rows, expected, rtol=0, atol=1e-12)
-        assert mixed.shape == (sum(lengths), cfg.d_emb)
+        """One forward over documents stacked in order gives each document's ``embed_tokens`` rows bit for
+        bit, also for a stack larger than the evaluation cache's row budget: rows do not depend on the batch.
+        Every document has two or more tokens, since numpy multiplies a single row with another kernel."""
+        lengths = (3, 17, 40, 9, 2, _ENCODE_BATCH_ROWS - 5, 700, _ENCODE_BATCH_ROWS + 3)
+        for d_emb, d_model in ((16, 12), (64, 64)):
+            cfg = EncoderConfig(d_emb=d_emb, d_model=d_model, radius=2, n_buckets=64, chunk_length=9)
+            rng = np.random.default_rng(6)
+            params = ToyEncoderParams.initialize(cfg, rng)
+            docs = [make_doc(f"d{i}", [f"w{int(rng.integers(40))}" for _ in range(n)]) for i, n in enumerate(lengths)]
+            plans = [chunk_document(len(d.tokens), cfg.chunk_length) for d in docs]
+            expected = np.vstack([embed_tokens(params, d, plan).rows for d, plan in zip(docs, plans)])
+            assert expected.shape[0] > 2 * _ENCODE_BATCH_ROWS
+            rows, mixed = encode_docs(params, [params.bucket_indices(d.tokens) for d in docs], plans)
+            assert np.array_equal(rows, expected)
+            assert mixed.shape == (sum(lengths), cfg.d_emb)
+            tail, _ = encode_docs(params, [params.bucket_indices(d.tokens) for d in docs[4:]], plans[4:])
+            assert np.array_equal(tail, expected[sum(lengths[:4]) :])
 
     def test_context_never_crosses_chunks(self):
         cfg = EncoderConfig(d_emb=4, d_model=4, radius=3, n_buckets=32, chunk_length=5)
@@ -197,6 +206,47 @@ class TestExternalEmbeddings:
         write_external_embeddings(bad, path2)
         with pytest.raises(EmbeddingFormatError, match="rows"):
             load_external_embeddings(path2).validate_against(corpus)
+
+    def test_truncated_file_is_reported(self, tmp_path):
+        """A file cut inside a document's id, row count or rows fails by path, document and byte counts."""
+        rng = np.random.default_rng(12)
+        path = tmp_path / "emb.fdae"
+        mats = self._matrices(rng)
+        write_external_embeddings(mats, path)
+        data = path.read_bytes()
+        last = mats[-1]
+        start = int((tmp_path / "emb.fdae.idx").read_text().splitlines()[-1].split("\t")[1])
+        rows_at = start + 4 + len(last.doc_id) + 8
+        cuts = {
+            "id length": start + 2,
+            "id": start + 5,
+            "row count": rows_at - 3,
+            "rows": rows_at + 13,
+        }
+        for what, cut in cuts.items():
+            path.write_bytes(data[:cut])
+            provider = load_external_embeddings(path)
+            with pytest.raises(EmbeddingFormatError) as err:
+                provider.get(last.doc_id)
+            message = str(err.value)
+            assert str(path) in message and repr(last.doc_id) in message and f"truncated {what} " in message
+            assert re.search(r"\(\d+ of \d+ bytes at offset \d+\)", message)
+            np.testing.assert_array_equal(provider.get(mats[0].doc_id).rows, mats[0].rows)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        """A write that fails part-way leaves the previous file and index as they were, and no temporary file."""
+        rng = np.random.default_rng(13)
+        path = tmp_path / "emb.fdae"
+        mats = self._matrices(rng)
+        write_external_embeddings(mats, path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        bad = self._matrices(rng) + [EmbeddingMatrix("wide", np.zeros((3, 7)))] + self._matrices(rng)
+        with pytest.raises(ValueError, match="dim 7"):
+            write_external_embeddings(bad, path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        provider = load_external_embeddings(path)
+        for mat in mats:
+            np.testing.assert_array_equal(provider.get(mat.doc_id).rows, mat.rows)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.fdae"

@@ -9,7 +9,6 @@ from epiarg.evaluation import (
     MatchCounts,
     aggregate,
     decode_spans,
-    encode_spans,
     fp_fn_analysis,
     labels_to_strings,
     render_fp_fn_table,
@@ -17,6 +16,14 @@ from epiarg.evaluation import (
     report_json,
     score_episode,
 )
+
+
+def encode_spans(spans, num_tokens, o_label="O"):
+    """Inverse of ``decode_spans`` for non-overlapping span sets."""
+    labels = [o_label] * num_tokens
+    for start, end, role in spans:
+        labels[start:end] = [role] * (end - start)
+    return labels
 
 
 def oracle_spans(labels):

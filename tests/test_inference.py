@@ -1,17 +1,23 @@
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from epiarg.corpus import compute_split
+from epiarg import inference
+from epiarg.corpus import Document, compute_split
 from epiarg.encoder import (
     EmbeddingMatrix,
     EncoderConfig,
+    ToyEncoderParams,
     chunk_document,
     embed_tokens,
+    encode_docs,
     load_external_embeddings,
     write_external_embeddings,
 )
+from epiarg.evaluation import EvalReport, FpFnCounts, aggregate
 from epiarg.heads import HeadConfig
 from epiarg.inference import episode_prototypes, evaluate_episodes, run_episode
 from epiarg.sampler import SamplerConfig, generate_episode_set
@@ -62,6 +68,24 @@ class TestRunEpisode:
         with pytest.raises(ValueError, match="non-finite"):
             run_episode(episode, params, head_cfg, ENCODER)
 
+    @pytest.mark.parametrize("sides", [("support", "query"), ("query", "query")])
+    def test_offsetting_row_count_errors_rejected(self, episode_fixture, tmp_path, sides):
+        """One row too many on one document and one too few on another are each caught, although
+        the episode's total row count matches its labels."""
+        split, _ = episode_fixture
+        episode = generate_episode_set(split.dev, SamplerConfig(n_ways=3, d_docs=1, query_size=2, seed=5), 1).episodes[0]
+        _, head_cfg = fresh_params("protonet")
+        longer, shorter = getattr(episode, sides[0])[0], getattr(episode, sides[1])[-1]
+        extra = {longer.doc_id: 1, shorter.doc_id: -1}
+        docs = episode.support + episode.query
+        mats = [
+            EmbeddingMatrix(d.doc_id, np.ones((len(d.tokens) + extra.get(d.doc_id, 0), ENCODER.d_model))) for d in docs
+        ]
+        write_external_embeddings(mats, tmp_path / "emb.fdae")
+        provider = load_external_embeddings(tmp_path / "emb.fdae")
+        with pytest.raises(ValueError, match="disagree"):
+            run_episode(episode, None, head_cfg, ENCODER, provider=provider)
+
     def test_prototype_export_shapes(self, episode_fixture):
         _, episodes = episode_fixture
         params, head_cfg = fresh_params("mnav")
@@ -77,6 +101,66 @@ class TestEvaluateEpisodes:
         a = evaluate_episodes(episodes, params, head_cfg, ENCODER, seed=11)
         b = evaluate_episodes(episodes, params, head_cfg, ENCODER, seed=11)
         assert a == b
+
+    def test_hashes_each_document_once(self, episode_fixture, monkeypatch):
+        _, episodes = episode_fixture
+        params, head_cfg = fresh_params("protonet")
+        hashed = []
+        original = ToyEncoderParams.bucket_indices
+
+        def counting(self, tokens):
+            hashed.append(tuple(tokens))
+            return original(self, tokens)
+
+        monkeypatch.setattr(ToyEncoderParams, "bucket_indices", counting)
+        evaluate_episodes(episodes, params, head_cfg, ENCODER, seed=2)
+        unique = {d.doc_id: d.tokens for ep in episodes for d in ep.support + ep.query}
+        assert len(unique) < sum(len(ep.support) + len(ep.query) for ep in episodes)
+        assert sorted(hashed) == sorted(unique.values())
+
+    @pytest.mark.parametrize("head", ["protonet", "nnshot", "mnav"])
+    def test_report_equals_per_episode_runs(self, episode_fixture, head):
+        """The cached evaluation reports exactly what standalone ``run_episode`` calls add up to."""
+        _, episodes = episode_fixture
+        params, head_cfg = fresh_params(head)
+        runs = [run_episode(ep, params, head_cfg, ENCODER, seed=4) for ep in episodes]
+        tokens = FpFnCounts()
+        for _, t in runs:
+            tokens.merge(t)
+        expected = aggregate([m for m, _ in runs], token_counts=tokens, episode_count=len(episodes))
+        report = evaluate_episodes(episodes, params, head_cfg, ENCODER, seed=4)
+        for f in fields(EvalReport):
+            assert getattr(report, f.name) == getattr(expected, f.name), f.name
+
+    def test_non_finite_query_embedding_rejected(self, episode_fixture):
+        """A NaN in a table row that only query documents of the set use stops the evaluation."""
+        episodes = episode_fixture[1][:2]  # later episodes' supports cover every token of the small vocabulary
+        encoder_cfg = EncoderConfig(d_emb=8, d_model=8, radius=1, n_buckets=1 << 16, chunk_length=64)
+        head_cfg = HeadConfig("protonet")
+        params = initialize_params(encoder_cfg, head_cfg, substream(1, "init"))
+
+        def rows(side):
+            return {int(b) for ep in episodes for d in getattr(ep, side) for b in params.encoder.bucket_indices(d.tokens)}
+
+        params.encoder.table[min(rows("query") - rows("support")), 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate_episodes(episodes, params, head_cfg, encoder_cfg)
+
+    def test_batches_never_isolate_one_row(self, monkeypatch):
+        """Cached rows equal one stacked forward bit for bit when batch boundaries fall next to
+        one-token documents (a lone row would take numpy's one-row matmul)."""
+        monkeypatch.setattr(inference, "_ENCODE_BATCH_ROWS", 8)
+        rng = np.random.default_rng(3)
+        lengths = (1, 7, 1, 8, 5, 3, 1, 2, 9, 1)
+        docs = [Document(f"d{i}", "", "e", tuple(f"w{int(rng.integers(50))}" for _ in range(n)), ()) for i, n in enumerate(lengths)]
+        batches = list(inference._batches(docs))
+        assert [d for batch in batches for d in batch] == docs
+        assert len(batches) > 3 and all(sum(len(d.tokens) for d in batch) > 1 for batch in batches)
+        params, _ = fresh_params("protonet")
+        plans = [chunk_document(n, ENCODER.chunk_length) for n in lengths]
+        expected, _ = encode_docs(params.encoder, [params.encoder.bucket_indices(d.tokens) for d in docs], plans)
+        cache = inference._EncodedDocs(params.encoder, docs, ENCODER.chunk_length)
+        assert np.array_equal(cache.stacked(docs), expected)
 
     def test_workers_match_serial(self, episode_fixture):
         _, episodes = episode_fixture
