@@ -86,19 +86,20 @@ class RunConfig:
         data = {}
         if path is not None:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
+        defaults = cls()
         cfg = cls(
             corpus=data.get("corpus"),
             split_spec=data.get("split_spec"),
             split=data.get("split"),
-            out_dir=data.get("out_dir", "out"),
-            seed=int(data.get("seed", 0)),
-            min_count=int(data.get("min_count", 2)),
-            balance=bool(data.get("balance", True)),
-            workers=int(data.get("workers", 1)),
-            embedding_source=data.get("embedding_source", "toy"),
+            out_dir=data.get("out_dir", defaults.out_dir),
+            seed=int(data.get("seed", defaults.seed)),
+            min_count=int(data.get("min_count", defaults.min_count)),
+            balance=bool(data.get("balance", defaults.balance)),
+            workers=int(data.get("workers", defaults.workers)),
+            embedding_source=data.get("embedding_source", defaults.embedding_source),
             checkpoint=data.get("checkpoint"),
-            episode_counts={**{"train": 2000, "dev": 200, "test": 200}, **data.get("episode_counts", {})},
-            export_episodes=int(data.get("export_episodes", 50)),
+            episode_counts={**defaults.episode_counts, **data.get("episode_counts", {})},
+            export_episodes=int(data.get("export_episodes", defaults.export_episodes)),
         )
         sampler_data = dict(data.get("sampler", {}))
         train_data = dict(data.get("train", {}))
@@ -115,15 +116,13 @@ class RunConfig:
             cfg.split = overrides.split
         if overrides.out is not None:
             cfg.out_dir = overrides.out
-        if overrides.workers is not None:
+        if getattr(overrides, "workers", None) is not None:
             cfg.workers = overrides.workers
         # the run seed is the single entropy source for every stage
         sampler_data["seed"] = cfg.seed
         train_data["seed"] = cfg.seed
-        sampler_defaults = SamplerConfig(n_ways=3, d_docs=1).to_dict()
-        cfg.sampler = SamplerConfig(**{**sampler_defaults, **sampler_data})
-        train_defaults = TrainConfig(episodes=2000, validate_every=500).to_dict()
-        cfg.train = TrainConfig.from_dict({**train_defaults, **train_data})
+        cfg.sampler = SamplerConfig(**{**defaults.sampler.to_dict(), **sampler_data})
+        cfg.train = TrainConfig.from_dict({**defaults.train.to_dict(), **train_data})
         cfg.encoder = EncoderConfig.from_dict(data.get("encoder", {}))
         head_data = dict(data.get("head", {}))
         if overrides.head is not None:
@@ -167,23 +166,6 @@ def _require(value, message: str):
     return value
 
 
-def _load_split_spec(cfg: RunConfig) -> SplitSpec:
-    path = _require(cfg.split_spec, "config field 'split_spec' is required for this command")
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if "specs" in data:
-        specs = {s["name"]: s for s in data["specs"]}
-        name = cfg.split or (next(iter(specs)) if len(specs) == 1 else None)
-        if name is None or name not in specs:
-            raise SplitSpecError(
-                f"--split must name one of {sorted(specs)} from {path}"
-            )
-        return SplitSpec.from_dict(specs[name])
-    spec = SplitSpec.from_dict(data)
-    if cfg.split is not None and cfg.split != spec.name:
-        raise SplitSpecError(f"{path} holds split {spec.name!r}, not {cfg.split!r}")
-    return spec
-
-
 def _write_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -201,7 +183,8 @@ def cmd_ingest(cfg: RunConfig) -> None:
 
 def cmd_split(cfg: RunConfig) -> None:
     corpus = parse_corpus(_require(cfg.corpus, "config field 'corpus' is required"))
-    spec = _load_split_spec(cfg)
+    spec_path = _require(cfg.split_spec, "config field 'split_spec' is required for this command")
+    spec = SplitSpec.from_json(spec_path, cfg.split)
     split = compute_split(corpus, spec)
     split = SplitCorpus(
         train=filter_rare_types(split.train, cfg.min_count),
@@ -236,9 +219,7 @@ def cmd_sample(cfg: RunConfig) -> None:
         if count < 1:
             continue
         pool = parse_corpus(cfg.out / f"{name}.jsonl")
-        episodes = generate_episode_set(
-            pool, cfg.sampler, count, balance=cfg.balance, label=name, workers=cfg.workers
-        )
+        episodes = generate_episode_set(pool, cfg.sampler, count, balance=cfg.balance, label=name)
         write_episodes(episodes, cfg.out / f"episodes_{name}.jsonl")
         _write_json(
             cfg.stamp({"command": "sample", "pool": name, "count": count}),
@@ -391,7 +372,8 @@ def _parse_args(argv):
         p.add_argument("--split", type=str, default=None)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--episodes", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
+        if name == "eval":
+            p.add_argument("--workers", type=int, default=None, help="evaluation worker processes")
     return parser.parse_args(argv)
 
 

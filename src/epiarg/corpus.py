@@ -162,9 +162,23 @@ class SplitSpec:
                     )
 
     @classmethod
-    def from_json(cls, path: str | Path) -> "SplitSpec":
+    def from_json(cls, path: str | Path, name: str | None = None) -> "SplitSpec":
+        """Read one spec, or pick spec ``name`` from a ``{"specs": [...]}`` file.
+
+        ``name`` may be left out when the file holds a single spec; when given,
+        it must match.
+        """
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls.from_dict(data)
+        if "specs" in data:
+            specs = {s["name"]: s for s in data["specs"]}
+            name = name or (next(iter(specs)) if len(specs) == 1 else None)
+            if name is None or name not in specs:
+                raise SplitSpecError(f"--split must name one of {sorted(specs)} from {path}")
+            return cls.from_dict(specs[name])
+        spec = cls.from_dict(data)
+        if name is not None and name != spec.name:
+            raise SplitSpecError(f"{path} holds split {spec.name!r}, not {name!r}")
+        return spec
 
     @classmethod
     def from_dict(cls, data: dict) -> "SplitSpec":

@@ -186,8 +186,6 @@ def embed_tokens(params: ToyEncoderParams, doc: Document, plan: ChunkPlan) -> Em
 def write_external_embeddings(
     matrices: Iterable[EmbeddingMatrix],
     path: str | Path,
-    *,
-    write_index: bool = True,
 ) -> None:
     """Write matrices in the versioned binary format (f32 little-endian rows).
 
@@ -220,13 +218,11 @@ def write_external_embeddings(
                 handle.write(encoded)
                 handle.write(struct.pack("<Q", mat.rows.shape[0]))
                 handle.write(np.ascontiguousarray(mat.rows, dtype="<f4").tobytes())
-        if write_index:
-            with open(tmp_index, "w", encoding="utf-8") as idx:
-                for doc_id, offset in offsets:
-                    idx.write(f"{doc_id}\t{offset}\n")
+        with open(tmp_index, "w", encoding="utf-8") as idx:
+            for doc_id, offset in offsets:
+                idx.write(f"{doc_id}\t{offset}\n")
         os.replace(tmp, path)
-        if write_index:
-            os.replace(tmp_index, index_path)
+        os.replace(tmp_index, index_path)
     finally:
         tmp.unlink(missing_ok=True)
         tmp_index.unlink(missing_ok=True)
@@ -251,18 +247,12 @@ class EmbeddingProvider:
         """The document's rows; a file cut short is an ``EmbeddingFormatError`` naming it and the document."""
         if doc_id not in self._offsets:
             raise EmbeddingFormatError(f"doc_id {doc_id!r} not present in {self.path}")
-
-        def read(n: int, what: str) -> bytes:
-            offset = handle.tell()
-            if n > size - offset:  # checked before reading, so a corrupt length allocates nothing
-                raise EmbeddingFormatError(
-                    f"{self.path}: truncated {what} of doc {doc_id!r} "
-                    f"({max(0, size - offset)} of {n} bytes at offset {offset})"
-                )
-            return handle.read(n)
-
         with open(self.path, "rb") as handle:
             size = os.fstat(handle.fileno()).st_size
+
+            def read(n: int, what: str) -> bytes:
+                return _read_checked(handle, size, n, f"{what} of doc {doc_id!r}")
+
             handle.seek(self._offsets[doc_id])
             (id_len,) = struct.unpack("<I", read(4, "id length"))
             stored_id = read(id_len, "id").decode("utf-8")
@@ -293,17 +283,32 @@ class EmbeddingProvider:
             self.rows_of(doc)
 
 
+def _require_bytes(handle, size: int, n: int, what: str) -> None:
+    """A file of ``size`` bytes with fewer than ``n`` left is an ``EmbeddingFormatError`` naming it."""
+    offset = handle.tell()
+    if n > size - offset:
+        raise EmbeddingFormatError(
+            f"{handle.name}: truncated {what} ({max(0, size - offset)} of {n} bytes at offset {offset})"
+        )
+
+
+def _read_checked(handle, size: int, n: int, what: str) -> bytes:
+    _require_bytes(handle, size, n, what)  # checked before reading, so a corrupt length allocates nothing
+    return handle.read(n)
+
+
 def load_external_embeddings(path: str | Path) -> EmbeddingProvider:
     """Open an embedding file, using the ``.idx`` sidecar when present."""
     path = Path(path)
     with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
         header = handle.read(4)
         if header != _MAGIC:
             raise EmbeddingFormatError(f"{path}: bad magic {header!r}")
-        version, d_model = struct.unpack("<II", handle.read(8))
+        version, d_model = struct.unpack("<II", _read_checked(handle, size, 8, "version and dimension"))
         if version != _VERSION:
             raise EmbeddingFormatError(f"{path}: unsupported version {version}")
-        (doc_count,) = struct.unpack("<Q", handle.read(8))
+        (doc_count,) = struct.unpack("<Q", _read_checked(handle, size, 8, "document count"))
         index_path = Path(str(path) + ".idx")
         offsets: dict[str, int] = {}
         if index_path.exists():
@@ -313,15 +318,13 @@ def load_external_embeddings(path: str | Path) -> EmbeddingProvider:
                 doc_id, _, offset = line.rpartition("\t")
                 offsets[doc_id] = int(offset)
         else:
-            for _ in range(doc_count):
+            for k in range(doc_count):
                 offset = handle.tell()
-                raw = handle.read(4)
-                if len(raw) < 4:
-                    raise EmbeddingFormatError(f"{path}: truncated document header")
-                (id_len,) = struct.unpack("<I", raw)
-                doc_id = handle.read(id_len).decode("utf-8")
-                (rows,) = struct.unpack("<Q", handle.read(8))
+                (id_len,) = struct.unpack("<I", _read_checked(handle, size, 4, f"id length of document {k}"))
+                doc_id = _read_checked(handle, size, id_len, f"id of document {k}").decode("utf-8")
+                (rows,) = struct.unpack("<Q", _read_checked(handle, size, 8, f"row count of document {k}"))
                 offsets[doc_id] = offset
+                _require_bytes(handle, size, rows * d_model * 4, f"rows of document {k}")
                 handle.seek(rows * d_model * 4, 1)
         if len(offsets) != doc_count:
             raise EmbeddingFormatError(

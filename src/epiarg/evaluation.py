@@ -26,17 +26,17 @@ def labels_to_strings(labels: Sequence[int] | np.ndarray, active_types: Sequence
     return [active_types[i] if 0 <= i < n else O_LABEL for i in labels]
 
 
-def decode_spans(labels: Sequence[str], o_label: str = O_LABEL) -> set[Span]:
+def decode_spans(labels: Sequence[str]) -> set[Span]:
     """Maximal runs of one role become one span; O breaks runs; a role change splits."""
     spans: set[Span] = set()
     start = None
-    current = o_label
+    current = O_LABEL
     for i, label in enumerate(labels):
         if label != current:
-            if current != o_label:
+            if current != O_LABEL:
                 spans.add((start, i, current))
             start, current = i, label
-    if current != o_label:
+    if current != O_LABEL:
         spans.add((start, len(labels), current))
     return spans
 
@@ -105,28 +105,28 @@ class FpFnCounts:
         return fp_rate, fn_rate
 
 
-def fp_fn_counts(pred: Sequence[str], gold: Sequence[str], o_label: str = O_LABEL) -> FpFnCounts:
+def fp_fn_counts(pred: Sequence[str], gold: Sequence[str]) -> FpFnCounts:
     if len(pred) != len(gold):
         raise ValueError("pred and gold label sequences must align")
     counts = FpFnCounts()
     for p, g in zip(pred, gold):
-        if g == o_label:
+        if g == O_LABEL:
             counts.gold_o += 1
-            if p != o_label:
+            if p != O_LABEL:
                 counts.fp += 1
         else:
             counts.gold_arg += 1
-            if p == o_label:
+            if p == O_LABEL:
                 counts.fn += 1
     return counts
 
 
-def fp_fn_analysis(pred: Sequence[str], gold: Sequence[str], o_label: str = O_LABEL) -> tuple[float, float]:
+def fp_fn_analysis(pred: Sequence[str], gold: Sequence[str]) -> tuple[float, float]:
     """FP rate: gold-O tokens predicted as an argument; FN rate: argument tokens predicted O.
 
     Both are percentages of their own gold class size.
     """
-    return fp_fn_counts(pred, gold, o_label).rates()
+    return fp_fn_counts(pred, gold).rates()
 
 
 def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -181,7 +181,6 @@ class EvalReport:
 
 def aggregate(
     counts: MatchCounts | Iterable[MatchCounts],
-    type_universe: Iterable[str] | None = None,
     *,
     token_counts: FpFnCounts | None = None,
     episode_count: int = 0,
@@ -201,12 +200,8 @@ def aggregate(
     if not counts_list:
         raise ValueError("no episodes to aggregate")
 
-    universe = set(type_universe) if type_universe is not None else None
-
     def macro_over(count: MatchCounts) -> tuple[float, float, float]:
         roles = {r for r in count.roles() if count.tp[r] + count.fn[r] > 0}
-        if universe is not None:
-            roles &= universe
         if not roles:
             return 0.0, 0.0, 0.0
         scores = [_prf(count.tp[r], count.fp[r], count.fn[r]) for r in sorted(roles)]
@@ -223,8 +218,6 @@ def aggregate(
         macro_p, macro_r, macro_f1 = macro_over(total)
 
     gold_roles = {r for r in total.roles() if total.tp[r] + total.fn[r] > 0}
-    if universe is not None:
-        gold_roles &= universe
     per_type = {}
     for role in sorted(gold_roles):
         p, r, f1 = _prf(total.tp[role], total.fp[role], total.fn[role])
@@ -296,26 +289,4 @@ def render_results_table(results: dict[str, dict[str, tuple[float, float, float]
                     "".join(f"{v:{col_width}.2f}" for v in triple) + "  "
                 )
         lines.append(setting.ljust(name_width) + "|" + "|".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def render_fp_fn_table(rates: dict[str, dict[str, tuple[float, float]]]) -> str:
-    """Token FP/FN rate table: one column per setting, rows FP and FN, grouped by split."""
-    groups = list(rates)
-    settings: list[str] = []
-    for row in rates.values():
-        for setting in row:
-            if setting not in settings:
-                settings.append(setting)
-    col = 8
-    name_width = max(len(g) for g in groups) + 2
-    lines = [" " * 4 + "".join(g.center(len(settings) * col + 2) for g in groups)]
-    lines.append(" " * 4 + "".join("".join(s.center(col) for s in settings) + "  " for _ in groups))
-    for kind, idx in (("FP", 0), ("FN", 1)):
-        row = kind.ljust(4)
-        for g in groups:
-            row += "".join(
-                f"{rates[g][s][idx]:{col}.2f}" if s in rates[g] else "-".center(col) for s in settings
-            ) + "  "
-        lines.append(row)
     return "\n".join(lines) + "\n"

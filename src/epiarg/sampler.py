@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import warnings
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -241,65 +240,6 @@ def sample_episode(
     )
 
 
-class _EpisodeWorker:
-    """Per-process sampling context; built once, then driven by episode indices."""
-
-    def __init__(self, index: PoolIndex, cfg: SamplerConfig, label: str, balance: bool):
-        self.index = index
-        self.cfg = cfg
-        self.label = label
-        self.balance = balance
-        self.strata = sorted(index.docs_by_event) if balance else []
-        self.stratum_roles = {
-            e: sorted({r for i in docs for r in index.doc_roles[i]})
-            for e, docs in index.docs_by_event.items()
-        }
-        self.warned: set[str] = set()
-
-    def __call__(self, episode_index: int) -> Episode:
-        rng = substream(self.cfg.seed, "sampler", self.label, episode_index)
-        if not self.balance:
-            return sample_episode(self.index, self.cfg, rng, episode_id=episode_index)
-        event = self.strata[episode_index % len(self.strata)]
-        candidates = self.index.docs_by_event[event]
-        roles = self.stratum_roles[event]
-        anchor = roles[(episode_index // len(self.strata)) % len(roles)] if roles else None
-        if len(candidates) >= self.cfg.d_docs and len(roles) >= self.cfg.n_ways:
-            try:
-                return sample_episode(
-                    self.index,
-                    self.cfg,
-                    rng,
-                    episode_id=episode_index,
-                    support_candidates=candidates,
-                    seed_role=anchor,
-                    budget=min(self.cfg.max_attempts, _STRATUM_ATTEMPTS),
-                )
-            except InfeasibleSamplingError:
-                pass
-        if event not in self.warned:
-            self.warned.add(event)
-            warnings.warn(
-                f"stratum {event!r} unreachable for {self.cfg.setting}; falling back to uniform sampling",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return sample_episode(self.index, self.cfg, rng, episode_id=episode_index)
-
-
-_WORKER: _EpisodeWorker | None = None
-
-
-def _init_pool_worker(index, cfg, label, balance):
-    global _WORKER
-    _WORKER = _EpisodeWorker(index, cfg, label, balance)
-
-
-def _run_pool_worker(episode_index: int) -> Episode:
-    assert _WORKER is not None
-    return _WORKER(episode_index)
-
-
 def generate_episode_set(
     pool: Corpus,
     cfg: SamplerConfig,
@@ -307,31 +247,56 @@ def generate_episode_set(
     balance: bool = False,
     *,
     label: str = "episodes",
-    workers: int = 1,
 ) -> EpisodeSet:
     """Generate ``count`` episodes, deterministically for a given (pool, cfg, seed).
 
     With ``balance`` on, episodes rotate over event-type strata and, within a
     stratum, over anchor argument roles, before falling back to uniform
     draws for strata the pool cannot satisfy. ``label`` keeps train/dev/test
-    streams independent under the same seed. Results are identical for any
-    ``workers`` count because each episode uses its own derived substream.
+    streams independent under the same seed. Each episode draws from its own
+    derived substream, so the first k episodes of a set do not depend on
+    ``count``.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     index = PoolIndex(pool)
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_pool_worker,
-            initargs=(index, cfg, label, balance),
-        ) as executor:
-            episodes = list(
-                executor.map(_run_pool_worker, range(count), chunksize=max(1, count // (workers * 4)))
-            )
-    else:
-        worker = _EpisodeWorker(index, cfg, label, balance)
-        episodes = [worker(i) for i in range(count)]
+    strata = sorted(index.docs_by_event)
+    stratum_roles = {
+        e: sorted({r for d in docs for r in index.doc_roles[d]}) for e, docs in index.docs_by_event.items()
+    }
+    warned: set[str] = set()
+    episodes = []
+    for i in range(count):
+        rng = substream(cfg.seed, "sampler", label, i)
+        episode = None
+        if balance:
+            event = strata[i % len(strata)]
+            candidates = index.docs_by_event[event]
+            roles = stratum_roles[event]
+            anchor = roles[(i // len(strata)) % len(roles)] if roles else None
+            if len(candidates) >= cfg.d_docs and len(roles) >= cfg.n_ways:
+                try:
+                    episode = sample_episode(
+                        index,
+                        cfg,
+                        rng,
+                        episode_id=i,
+                        support_candidates=candidates,
+                        seed_role=anchor,
+                        budget=min(cfg.max_attempts, _STRATUM_ATTEMPTS),
+                    )
+                except InfeasibleSamplingError:
+                    pass
+            if episode is None and event not in warned:
+                warned.add(event)
+                warnings.warn(
+                    f"stratum {event!r} unreachable for {cfg.setting}; falling back to uniform sampling",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+        if episode is None:
+            episode = sample_episode(index, cfg, rng, episode_id=i)
+        episodes.append(episode)
     return EpisodeSet(tuple(episodes), cfg)
 
 

@@ -126,6 +126,18 @@ class TestWorkflow:
         assert run(config_path, "sample") == 0
         assert (out / "episodes_train.jsonl").read_bytes() == first
 
+    def test_eval_workers_do_not_change_report(self, workspace):
+        tmp_path, config_path, _ = workspace
+        out = tmp_path / "out"
+        assert run(config_path, "split") == 0
+        assert run(config_path, "sample") == 0
+        assert run(config_path, "eval", "--workers", "1") == 0
+        serial = (out / "report_protonet_3w1d.json").read_bytes()
+        assert run(config_path, "eval", "--workers", "2") == 0
+        parallel = (out / "report_protonet_3w1d.json").read_bytes()
+        assert parallel == serial.replace(b'"workers": 1', b'"workers": 2')
+        assert json.loads(parallel)["config"]["workers"] == 2
+
     def test_cli_overrides_apply(self, workspace):
         tmp_path, config_path, _ = workspace
         out2 = tmp_path / "other"
@@ -145,6 +157,13 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error code=2 kind=config:")
         assert "\n" not in err.strip()
+
+    def test_workers_is_an_eval_option_only(self, workspace, capsys):
+        _, config_path, _ = workspace
+        with pytest.raises(SystemExit) as exc:
+            run(config_path, "sample", "--workers", "2")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     def test_infeasible_sampling_exit_code(self, workspace, capsys):
         tmp_path, config_path, config = workspace

@@ -208,6 +208,22 @@ class TestSplits:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec.to_dict()))
         assert SplitSpec.from_json(path) == spec
+        assert SplitSpec.from_json(path, "custom") == spec
+        with pytest.raises(SplitSpecError, match="holds split 'custom', not 'cross_domain'"):
+            SplitSpec.from_json(path, "cross_domain")
+
+    def test_spec_json_picks_from_specs(self, tmp_path):
+        """A ``{"specs": [...]}`` file yields the named spec, or its only one when no name is given."""
+        small = SplitSpec("in_domain_small", ("e1",), ("e2",), ("e3",))
+        cross = SplitSpec("cross_domain", ("e3",), ("e2",), ("e1",))
+        path = tmp_path / "specs.json"
+        path.write_text(json.dumps({"specs": [small.to_dict(), cross.to_dict()]}))
+        assert SplitSpec.from_json(path, "cross_domain") == cross
+        for name in (None, "custom"):
+            with pytest.raises(SplitSpecError, match=r"--split must name one of \['cross_domain', 'in_domain_small'\]"):
+                SplitSpec.from_json(path, name)
+        path.write_text(json.dumps({"specs": [small.to_dict()]}))
+        assert SplitSpec.from_json(path) == small
 
 
 class TestLeakageMask:

@@ -177,7 +177,7 @@ class TestExternalEmbeddings:
         rng = np.random.default_rng(9)
         path = tmp_path / "emb.fdae"
         mats = self._matrices(rng)
-        write_external_embeddings(mats, path, write_index=True)
+        write_external_embeddings(mats, path)
         assert (tmp_path / "emb.fdae.idx").exists()
         provider = load_external_embeddings(path)
         np.testing.assert_array_equal(provider.get("doc1").rows, mats[1].rows)
@@ -186,9 +186,31 @@ class TestExternalEmbeddings:
         rng = np.random.default_rng(10)
         path = tmp_path / "emb.fdae"
         mats = self._matrices(rng)
-        write_external_embeddings(mats, path, write_index=False)
+        write_external_embeddings(mats, path)
+        (tmp_path / "emb.fdae.idx").unlink()
         provider = load_external_embeddings(path)
         np.testing.assert_array_equal(provider.get("doc2").rows, mats[2].rows)
+
+    @pytest.mark.parametrize(
+        "cut, what",
+        [
+            (6, "version and dimension"),
+            (12, "document count"),
+            (22, "id length of document 0"),
+            (26, "id of document 0"),
+            (30, "row count of document 0"),
+            (40, "rows of document 0"),
+        ],
+    )
+    def test_scan_of_truncated_file_is_reported(self, tmp_path, cut, what):
+        """Without an index, a file cut inside the header, an id, a row count or rows fails by path and part."""
+        path = tmp_path / "emb.fdae"
+        write_external_embeddings(self._matrices(np.random.default_rng(10)), path)
+        (tmp_path / "emb.fdae.idx").unlink()
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(EmbeddingFormatError) as err:
+            load_external_embeddings(path)
+        assert str(err.value).startswith(f"{path}: truncated {what} (")
 
     def test_validation_against_corpus(self, tmp_path):
         """Fixture: embeddings generated offline for a 5-doc corpus are accepted."""

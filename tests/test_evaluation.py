@@ -11,7 +11,6 @@ from epiarg.evaluation import (
     decode_spans,
     fp_fn_analysis,
     labels_to_strings,
-    render_fp_fn_table,
     render_results_table,
     report_json,
     score_episode,
@@ -212,14 +211,3 @@ class TestReportRendering:
         assert "1.30" in table and "8.34" in table
         lines = table.strip().splitlines()
         assert len(lines) == 5  # two header rows, one rule, two data rows
-
-    def test_fp_fn_table_fixture(self):
-        table = render_fp_fn_table(
-            {
-                "in-domain-base": {"3w1d": (3.68, 1.99), "3w2d": (2.45, 1.26), "6w2d": (4.86, 1.66)},
-                "cross-domain": {"3w1d": (6.42, 2.60), "3w2d": (3.23, 0.87), "6w2d": (4.40, 1.43)},
-            }
-        )
-        assert "3.68" in table and "1.99" in table and "6.42" in table
-        assert table.splitlines()[2].startswith("FP")
-        assert table.splitlines()[3].startswith("FN")

@@ -100,15 +100,16 @@ class TestGenerateEpisodeSet:
         b = generate_episode_set(corpus, cfg, 10, label="dev")
         assert [e.support_doc_ids() for e in a] != [e.support_doc_ids() for e in b]
 
-    def test_workers_do_not_change_output(self, tmp_path):
+    def test_prefix_does_not_depend_on_count(self, tmp_path):
+        """Each episode draws from its own substream, so a longer set extends a shorter one."""
         corpus = synthetic_corpus(seed=1, n_docs=100)
         cfg = SamplerConfig(n_ways=3, d_docs=2, seed=7)
-        serial = generate_episode_set(corpus, cfg, 24, balance=True)
-        parallel = generate_episode_set(corpus, cfg, 24, balance=True, workers=2)
-        ps, pp = tmp_path / "s.jsonl", tmp_path / "p.jsonl"
-        write_episodes(serial, ps)
-        write_episodes(parallel, pp)
-        assert ps.read_bytes() == pp.read_bytes()
+        longer = generate_episode_set(corpus, cfg, 24, balance=True)
+        shorter = generate_episode_set(corpus, cfg, 12, balance=True)
+        pl, ps = tmp_path / "l.jsonl", tmp_path / "s.jsonl"
+        write_episodes(list(longer)[:12], pl)
+        write_episodes(shorter, ps)
+        assert pl.read_bytes() == ps.read_bytes()
 
     def test_balance_rotates_event_types(self):
         """Oracle: count support event types over the generated set."""
