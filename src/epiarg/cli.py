@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .corpus import (
@@ -62,6 +62,21 @@ from .trainer import (
 _POOLS = ("train", "dev", "test")
 
 
+def _int_field(data: dict, name: str, default: int) -> int:
+    value = data.get(name, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"config field {name!r} must be an integer, got {value!r}") from None
+
+
+def _bool_field(data: dict, name: str, default: bool) -> bool:
+    value = data.get(name, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"config field {name!r} must be true or false, got {value!r}")
+    return value
+
+
 @dataclass
 class RunConfig:
     corpus: str | None = None
@@ -92,14 +107,14 @@ class RunConfig:
             split_spec=data.get("split_spec"),
             split=data.get("split"),
             out_dir=data.get("out_dir", defaults.out_dir),
-            seed=int(data.get("seed", defaults.seed)),
-            min_count=int(data.get("min_count", defaults.min_count)),
-            balance=bool(data.get("balance", defaults.balance)),
-            workers=int(data.get("workers", defaults.workers)),
+            seed=_int_field(data, "seed", defaults.seed),
+            min_count=_int_field(data, "min_count", defaults.min_count),
+            balance=_bool_field(data, "balance", defaults.balance),
+            workers=_int_field(data, "workers", defaults.workers),
             embedding_source=data.get("embedding_source", defaults.embedding_source),
             checkpoint=data.get("checkpoint"),
             episode_counts={**defaults.episode_counts, **data.get("episode_counts", {})},
-            export_episodes=int(data.get("export_episodes", defaults.export_episodes)),
+            export_episodes=_int_field(data, "export_episodes", defaults.export_episodes),
         )
         sampler_data = dict(data.get("sampler", {}))
         train_data = dict(data.get("train", {}))
@@ -121,7 +136,7 @@ class RunConfig:
         # the run seed is the single entropy source for every stage
         sampler_data["seed"] = cfg.seed
         train_data["seed"] = cfg.seed
-        cfg.sampler = SamplerConfig(**{**defaults.sampler.to_dict(), **sampler_data})
+        cfg.sampler = SamplerConfig.from_dict({**defaults.sampler.to_dict(), **sampler_data})
         cfg.train = TrainConfig.from_dict({**defaults.train.to_dict(), **train_data})
         cfg.encoder = EncoderConfig.from_dict(data.get("encoder", {}))
         head_data = dict(data.get("head", {}))
@@ -131,24 +146,7 @@ class RunConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        return {
-            "corpus": self.corpus,
-            "split_spec": self.split_spec,
-            "split": self.split,
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-            "min_count": self.min_count,
-            "balance": self.balance,
-            "workers": self.workers,
-            "embedding_source": self.embedding_source,
-            "checkpoint": self.checkpoint,
-            "episode_counts": dict(self.episode_counts),
-            "export_episodes": self.export_episodes,
-            "sampler": self.sampler.to_dict(),
-            "train": self.train.to_dict(),
-            "encoder": self.encoder.to_dict(),
-            "head": self.head.to_dict(),
-        }
+        return asdict(self)
 
     @property
     def out(self) -> Path:
@@ -260,7 +258,7 @@ def _eval_params(cfg: RunConfig, provider_dim: int | None):
         return load_checkpoint(ckpt_path).params
     encoder_cfg = cfg.encoder
     if provider_dim is not None and provider_dim != encoder_cfg.d_model:
-        encoder_cfg = EncoderConfig.from_dict({**encoder_cfg.to_dict(), "d_model": provider_dim})
+        encoder_cfg = replace(encoder_cfg, d_model=provider_dim)
     return initialize_params(encoder_cfg, cfg.head, substream(cfg.seed, "init"))
 
 

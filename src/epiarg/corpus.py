@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .record import Record
+
 
 class CorpusFormatError(ValueError):
     """A corpus file or record violates the document schema."""
@@ -134,7 +136,7 @@ SPLIT_NAMES = ("in_domain_small", "in_domain_base", "cross_domain", "custom")
 
 
 @dataclass(frozen=True)
-class SplitSpec:
+class SplitSpec(Record):
     """Event-type assignment for train/dev/test plus roles forced train-only."""
 
     name: str
@@ -194,16 +196,6 @@ class SplitSpec:
         except KeyError as exc:
             raise SplitSpecError(f"split spec missing field {exc.args[0]!r}") from exc
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "train_event_types": list(self.train_event_types),
-            "dev_event_types": list(self.dev_event_types),
-            "test_event_types": list(self.test_event_types),
-            "frequent_roles": list(self.frequent_roles),
-            "mask_frequent_in_dev": self.mask_frequent_in_dev,
-        }
-
 
 @dataclass(frozen=True)
 class SplitCorpus:
@@ -218,21 +210,12 @@ class SplitCorpus:
 
 
 @dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(Record):
     num_docs: int
     num_event_types: int
     num_arg_types: int
     tokens_per_doc: float
     arg_instances: int
-
-    def to_dict(self) -> dict:
-        return {
-            "num_docs": self.num_docs,
-            "num_event_types": self.num_event_types,
-            "num_arg_types": self.num_arg_types,
-            "tokens_per_doc": self.tokens_per_doc,
-            "arg_instances": self.arg_instances,
-        }
 
 
 def span_from_chars(char_start: int, char_end: int, token_offsets: Sequence[tuple[int, int]], role: str) -> ArgumentSpan:

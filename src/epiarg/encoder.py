@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Corpus, Document
+from .record import Record
 
 _MAGIC = b"FDAE"
 _VERSION = 1
@@ -28,27 +29,13 @@ class EmbeddingFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class EncoderConfig:
+class EncoderConfig(Record):
     d_emb: int = 64
     d_model: int = 64
     radius: int = 3
     n_buckets: int = 65536
     chunk_length: int = 1024
     init_scale: float = 0.05
-
-    def to_dict(self) -> dict:
-        return {
-            "d_emb": self.d_emb,
-            "d_model": self.d_model,
-            "radius": self.radius,
-            "n_buckets": self.n_buckets,
-            "chunk_length": self.chunk_length,
-            "init_scale": self.init_scale,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EncoderConfig":
-        return cls(**{k: data[k] for k in cls().to_dict() if k in data})
 
 
 @dataclass(frozen=True)

@@ -184,14 +184,11 @@ def aggregate(
     *,
     token_counts: FpFnCounts | None = None,
     episode_count: int = 0,
-    per_episode_macro: bool = False,
 ) -> EvalReport:
     """Reduce match counts to an EvalReport.
 
-    Default: pool counts globally per type, then macro-average over the
-    types with gold support in the evaluated set. With ``per_episode_macro``
-    each episode's macro is computed first and episodes are averaged
-    (requires an iterable of per-episode counts).
+    Counts are pooled globally per type, then macro-averaged over the types
+    with gold support in the evaluated set.
     """
     if isinstance(counts, MatchCounts):
         counts_list = [counts]
@@ -200,28 +197,14 @@ def aggregate(
     if not counts_list:
         raise ValueError("no episodes to aggregate")
 
-    def macro_over(count: MatchCounts) -> tuple[float, float, float]:
-        roles = {r for r in count.roles() if count.tp[r] + count.fn[r] > 0}
-        if not roles:
-            return 0.0, 0.0, 0.0
-        scores = [_prf(count.tp[r], count.fp[r], count.fn[r]) for r in sorted(roles)]
-        return tuple(float(np.mean([s[i] for s in scores])) for i in range(3))  # type: ignore[return-value]
-
     total = MatchCounts()
     for c in counts_list:
         total.merge(c)
 
-    if per_episode_macro:
-        per_ep = [macro_over(c) for c in counts_list]
-        macro_p, macro_r, macro_f1 = (float(np.mean([m[i] for m in per_ep])) for i in range(3))
-    else:
-        macro_p, macro_r, macro_f1 = macro_over(total)
-
-    gold_roles = {r for r in total.roles() if total.tp[r] + total.fn[r] > 0}
-    per_type = {}
-    for role in sorted(gold_roles):
-        p, r, f1 = _prf(total.tp[role], total.fp[role], total.fn[role])
-        per_type[role] = TypeScore(p, r, f1, total.tp[role] + total.fn[role])
+    gold_roles = sorted(r for r in total.roles() if total.tp[r] + total.fn[r] > 0)
+    scores = [_prf(total.tp[r], total.fp[r], total.fn[r]) for r in gold_roles]
+    macro_p, macro_r, macro_f1 = (float(np.mean([s[i] for s in scores])) if scores else 0.0 for i in range(3))
+    per_type = {r: TypeScore(*s, total.tp[r] + total.fn[r]) for r, s in zip(gold_roles, scores)}
 
     fp_rate, fn_rate = token_counts.rates() if token_counts is not None else (0.0, 0.0)
     return EvalReport(

@@ -18,6 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .record import Record
+
 _QUERY_BLOCK = 256
 # Working memory `nearest_per_class` may hold beyond its (T, n_classes) outputs, the
 # class-sorted support copy included. On 1600-row supports 2-8 MiB ran equally fast,
@@ -30,7 +32,7 @@ class EmptyClassError(ValueError):
 
 
 @dataclass(frozen=True)
-class HeadConfig:
+class HeadConfig(Record):
     name: str = "protonet"
     d_reduced: int = 32
     kmeans_k: int = 6
@@ -41,18 +43,6 @@ class HeadConfig:
             raise ValueError(f"unknown head {self.name!r}")
         if not (1 <= self.kmeans_k <= 16):
             raise ValueError(f"kmeans_k must be in [1, 16], got {self.kmeans_k}")
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "d_reduced": self.d_reduced,
-            "kmeans_k": self.kmeans_k,
-            "kmeans_iters": self.kmeans_iters,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HeadConfig":
-        return cls(**{k: data[k] for k in cls().to_dict() if k in data})
 
 
 @dataclass(frozen=True)

@@ -219,7 +219,6 @@ def evaluate_episodes(
     provider: EmbeddingProvider | None = None,
     seed: int = 0,
     workers: int = 1,
-    per_episode_macro: bool = False,
 ) -> EvalReport:
     """Score a set of episodes; deterministic for fixed inputs and any worker count.
 
@@ -243,9 +242,4 @@ def evaluate_episodes(
     tokens = FpFnCounts()
     for _, t in results:
         tokens.merge(t)
-    return aggregate(
-        counts,
-        token_counts=tokens,
-        episode_count=len(episodes),
-        per_episode_macro=per_episode_macro,
-    )
+    return aggregate(counts, token_counts=tokens, episode_count=len(episodes))

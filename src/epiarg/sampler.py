@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Corpus, Document, document_from_record, document_to_record
+from .record import Record
 from .seeds import substream
 
 # Rejected draws tolerated before the support candidate is rebuilt from scratch.
@@ -29,7 +30,7 @@ class InfeasibleSamplingError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SamplerConfig:
+class SamplerConfig(Record):
     n_ways: int
     d_docs: int
     query_size: int = 1
@@ -43,15 +44,6 @@ class SamplerConfig:
     @property
     def setting(self) -> str:
         return f"{self.n_ways}w{self.d_docs}d"
-
-    def to_dict(self) -> dict:
-        return {
-            "n_ways": self.n_ways,
-            "d_docs": self.d_docs,
-            "query_size": self.query_size,
-            "seed": self.seed,
-            "max_attempts": self.max_attempts,
-        }
 
 
 @dataclass(frozen=True)

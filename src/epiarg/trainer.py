@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -37,6 +37,7 @@ from .heads import (
     nearest_per_class,
     protonet_classify,
 )
+from .record import Record
 from .sampler import Episode, SamplerConfig, generate_episode_set
 from .seeds import substream
 
@@ -52,7 +53,7 @@ class NumericalError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Record):
     episodes: int
     learning_rate: float = 1e-5
     grad_clip_norm: float = 1.0
@@ -72,24 +73,6 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.episodes > 0 and self.validate_every > self.episodes:
             raise ValueError("validate_every must not exceed the episode budget")
-
-    def to_dict(self) -> dict:
-        return {
-            "episodes": self.episodes,
-            "learning_rate": self.learning_rate,
-            "grad_clip_norm": self.grad_clip_norm,
-            "validate_every": self.validate_every,
-            "seed": self.seed,
-            "batch_size": self.batch_size,
-            "optimizer": self.optimizer,
-            "weight_decay": self.weight_decay,
-            "dev_episodes": self.dev_episodes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        names = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in names})
 
 
 @dataclass

@@ -6,9 +6,13 @@ import sys
 
 import pytest
 
-from epiarg.cli import main
-from epiarg.corpus import ArgumentSpan, Corpus, Document, SplitSpec, write_corpus
+from epiarg.cli import RunConfig, _parse_args, main
+from epiarg.corpus import ArgumentSpan, Corpus, Document, SplitCorpus, SplitSpec, write_corpus
+from epiarg.encoder import EncoderConfig
+from epiarg.heads import HeadConfig
+from epiarg.sampler import SamplerConfig
 from epiarg.synthetic import separable_corpus
+from epiarg.trainer import TrainConfig, train
 
 
 @pytest.fixture()
@@ -146,7 +150,62 @@ class TestWorkflow:
         assert stats["seed"] == 99
 
 
+def load_config(tmp_path, data: dict) -> RunConfig:
+    path = tmp_path / "loaded.json"
+    path.write_text(json.dumps(data))
+    return RunConfig.load(path, _parse_args(["ingest", "--config", str(path)]))
+
+
+class TestConfig:
+    @pytest.mark.parametrize("section", ["sampler", "train", "encoder", "head"])
+    def test_unknown_section_key_is_ignored(self, tmp_path, section):
+        loaded = load_config(tmp_path, {section: {"n_way": 3}})
+        assert loaded.to_dict() == RunConfig().to_dict()
+
+    def test_scalar_strings_are_coerced(self, tmp_path):
+        loaded = load_config(tmp_path, {"seed": "7", "min_count": "3"})
+        assert (loaded.seed, loaded.min_count) == (7, 3)
+
+    def test_stamped_key_order(self):
+        """Checkpoint meta is not key-sorted, so field order is part of the checkpoint bytes."""
+        assert json.dumps(RunConfig().to_dict()) == (
+            '{"corpus": null, "split_spec": null, "split": null, "out_dir": "out", "seed": 0, "min_count": 2, '
+            '"balance": true, "workers": 1, "embedding_source": "toy", "checkpoint": null, '
+            '"episode_counts": {"train": 2000, "dev": 200, "test": 200}, "export_episodes": 50, '
+            '"sampler": {"n_ways": 3, "d_docs": 1, "query_size": 1, "seed": 0, "max_attempts": 100000}, '
+            '"train": {"episodes": 2000, "learning_rate": 1e-05, "grad_clip_norm": 1.0, "validate_every": 500, '
+            '"seed": 0, "batch_size": 2, "optimizer": "adamw", "weight_decay": 0.0, "dev_episodes": 200}, '
+            '"encoder": {"d_emb": 64, "d_model": 64, "radius": 3, "n_buckets": 65536, "chunk_length": 1024, '
+            '"init_scale": 0.05}, '
+            '"head": {"name": "protonet", "d_reduced": 32, "kmeans_k": 6, "kmeans_iters": 100}}'
+        )
+        empty = SplitCorpus(Corpus(()), Corpus(()), Corpus(()))
+        encoder_cfg = EncoderConfig(d_emb=8, d_model=8, n_buckets=128)
+        ckpt = train(empty, SamplerConfig(3, 1), TrainConfig(episodes=0), HeadConfig("nnshot"), encoder_cfg)
+        assert json.dumps(ckpt.config) == (
+            '{"sampler": {"n_ways": 3, "d_docs": 1, "query_size": 1, "seed": 0, "max_attempts": 100000}, '
+            '"train": {"episodes": 0, "learning_rate": 1e-05, "grad_clip_norm": 1.0, "validate_every": 4000, '
+            '"seed": 0, "batch_size": 2, "optimizer": "adamw", "weight_decay": 0.0, "dev_episodes": 200}, '
+            '"head": {"name": "nnshot", "d_reduced": 32, "kmeans_k": 6, "kmeans_iters": 100}, '
+            '"encoder": {"d_emb": 8, "d_model": 8, "radius": 3, "n_buckets": 128, "chunk_length": 1024, '
+            '"init_scale": 0.05}}'
+        )
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", None), ("min_count", "two"), ("export_episodes", "all"), ("balance", "false"), ("balance", 0)],
+    )
+    def test_bad_scalar_is_config_error(self, workspace, capsys, field, value):
+        tmp_path, _, config = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(config, **{field: value})))
+        assert run(bad, "ingest") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error code=2 kind=config: config field '{field}' must be ")
+
+
     def test_missing_corpus_is_config_error(self, workspace, capsys):
         tmp_path, config_path, config = workspace
         config = dict(config)

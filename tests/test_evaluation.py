@@ -151,9 +151,6 @@ class TestAggregate:
         assert report.per_type["B"].f1 == 0.0
         assert report.per_type["C"].gold_count == 1
 
-        per_episode = aggregate([ep1, ep2, ep3], per_episode_macro=True)
-        assert per_episode.macro_f1 == pytest.approx(50.0)
-
     def test_single_episode_equals_direct_scores(self):
         counts = score_episode(
             [{(0, 1, "A"), (2, 3, "B")}], [{(0, 1, "A"), (5, 6, "B")}], ["A", "B"]

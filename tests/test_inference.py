@@ -169,6 +169,19 @@ class TestEvaluateEpisodes:
         parallel = evaluate_episodes(episodes, params, head_cfg, ENCODER, seed=2, workers=2)
         assert serial == parallel
 
+    @pytest.mark.parametrize("head", ["protonet", "nnshot", "mnav"])
+    def test_workers_match_serial_with_external_provider(self, episode_fixture, tmp_path, head):
+        """Each worker reopens the embedding file by its path."""
+        _, episodes = episode_fixture
+        params, head_cfg = fresh_params(head)
+        docs = {d.doc_id: d for ep in episodes for d in ep.support + ep.query}
+        mats = [embed_tokens(params.encoder, d, chunk_document(len(d.tokens), ENCODER.chunk_length)) for d in docs.values()]
+        write_external_embeddings(mats, tmp_path / "emb.fdae")
+        provider = load_external_embeddings(tmp_path / "emb.fdae")
+        serial = evaluate_episodes(episodes, params, head_cfg, ENCODER, provider=provider, seed=2)
+        parallel = evaluate_episodes(episodes, params, head_cfg, ENCODER, provider=provider, seed=2, workers=2)
+        assert serial == parallel
+
     def test_external_provider_matches_toy(self, episode_fixture, tmp_path):
         """Embeddings exported from the toy encoder and re-read from the binary
         format give the same report (up to f32 storage)."""
