@@ -70,6 +70,13 @@ def _int_field(data: dict, name: str, default: int) -> int:
         raise ValueError(f"config field {name!r} must be an integer, got {value!r}") from None
 
 
+def _section(data: dict, name: str) -> dict:
+    value = data.get(name, {})
+    if not isinstance(value, dict):
+        raise ValueError(f"config section {name!r} must be an object, got {value!r}")
+    return dict(value)
+
+
 def _bool_field(data: dict, name: str, default: bool) -> bool:
     value = data.get(name, default)
     if not isinstance(value, bool):
@@ -113,11 +120,11 @@ class RunConfig:
             workers=_int_field(data, "workers", defaults.workers),
             embedding_source=data.get("embedding_source", defaults.embedding_source),
             checkpoint=data.get("checkpoint"),
-            episode_counts={**defaults.episode_counts, **data.get("episode_counts", {})},
+            episode_counts={**defaults.episode_counts, **_section(data, "episode_counts")},
             export_episodes=_int_field(data, "export_episodes", defaults.export_episodes),
         )
-        sampler_data = dict(data.get("sampler", {}))
-        train_data = dict(data.get("train", {}))
+        sampler_data = _section(data, "sampler")
+        train_data = _section(data, "train")
         if overrides.seed is not None:
             cfg.seed = overrides.seed
         if overrides.n_ways is not None:
@@ -138,8 +145,8 @@ class RunConfig:
         train_data["seed"] = cfg.seed
         cfg.sampler = SamplerConfig.from_dict({**defaults.sampler.to_dict(), **sampler_data})
         cfg.train = TrainConfig.from_dict({**defaults.train.to_dict(), **train_data})
-        cfg.encoder = EncoderConfig.from_dict(data.get("encoder", {}))
-        head_data = dict(data.get("head", {}))
+        cfg.encoder = EncoderConfig.from_dict(_section(data, "encoder"))
+        head_data = _section(data, "head")
         if overrides.head is not None:
             head_data["name"] = overrides.head
         cfg.head = HeadConfig.from_dict(head_data)

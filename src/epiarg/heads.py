@@ -11,6 +11,8 @@ A support set is one ``(rows, labels)`` pair: all support tokens stacked in docu
 from __future__ import annotations
 
 import csv
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -22,9 +24,12 @@ from .record import Record
 
 _QUERY_BLOCK = 256
 # Working memory `nearest_per_class` may hold beyond its (T, n_classes) outputs, the
-# class-sorted support copy included. On 1600-row supports 2-8 MiB ran equally fast,
-# and at 32 MiB the lanes outgrow the cache and it slows down.
+# class-sorted support copy included, for all its threads together. On 1600-row supports
+# 2-8 MiB ran equally fast, and at 32 MiB the lanes outgrow the cache and it slows down.
 _L1_BLOCK_BYTES = 4 << 20
+# Query rows x support rows x dimensions below which `nearest_per_class` runs on the calling
+# thread alone: starting and joining the threads costs more than smaller kernels save.
+_L1_THREAD_MIN_WORK = 1 << 21
 
 
 class EmptyClassError(ValueError):
@@ -206,6 +211,14 @@ def _pairwise_l1(q_t: np.ndarray, s_t: np.ndarray, lo: int, n: int, tmp: np.ndar
     return total
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def nearest_per_class(
     query: np.ndarray, rows: np.ndarray, labels: np.ndarray, n_classes: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -214,27 +227,46 @@ def nearest_per_class(
     Returns two (T, n_classes) arrays. Ties go to the lowest row index; a class
     with no rows gets +inf and -1. Distances are bit-identical to numpy's
     ``np.abs(q[:, None] - rows[None]).sum(axis=2)``. Query rows go in blocks sized
-    so the working arrays stay within ``_L1_BLOCK_BYTES`` (at least one row a block).
+    so the working arrays of all threads together stay within ``_L1_BLOCK_BYTES``
+    (at least one row a block). From ``_L1_THREAD_MIN_WORK`` on, each usable CPU
+    takes one contiguous range of query rows, the calling thread the first; numpy's
+    element-wise loops release the interpreter lock, and every row is computed by
+    the same operations whichever thread runs it.
     """
-    dmin = np.full((query.shape[0], n_classes), np.inf)
-    umin = np.full((query.shape[0], n_classes), -1, dtype=np.int64)
+    n_query = query.shape[0]
+    dmin = np.full((n_query, n_classes), np.inf)
+    umin = np.full((n_query, n_classes), -1, dtype=np.int64)
     order = np.argsort(labels, kind="stable")  # each class contiguous, original order within it
     bounds = np.searchsorted(labels[order], np.arange(n_classes + 1))
     members = [(c, bounds[c], bounds[c + 1]) for c in range(n_classes) if bounds[c + 1] > bounds[c]]
     s_t = rows.T[:, order].copy()  # (d, S) in class order
     n_rows, d = rows.shape
+    threads = min(_usable_cpus(), n_query) if n_query * n_rows * d >= _L1_THREAD_MIN_WORK else 1
     row_bytes = 8 * n_rows * (_l1_lane_arrays(d) + 1)
-    fixed = s_t.nbytes + order.nbytes + (256 << 10)  # the sorted support, numpy's broadcast buffers
-    block = max(1, (_L1_BLOCK_BYTES - fixed) // row_bytes)
-    tmp = np.empty((block, n_rows))
-    for start in range(0, query.shape[0], block):
-        q_t = query[start : start + block].T.copy()
-        dist = _pairwise_l1(q_t, s_t, 0, d, tmp[: q_t.shape[1]])
-        span = np.arange(dist.shape[0])
-        for c, lo, hi in members:
-            best = lo + dist[:, lo:hi].argmin(axis=1)
-            umin[start : start + block, c] = order[best]
-            dmin[start : start + block, c] = dist[span, best]
+    fixed = s_t.nbytes + order.nbytes + threads * (256 << 10)  # the sorted support, numpy's broadcast buffers
+    block = max(1, (_L1_BLOCK_BYTES - fixed) // (threads * row_bytes))
+
+    def share(first: int, stop: int) -> None:
+        tmp = np.empty((min(block, stop - first), n_rows))
+        for start in range(first, stop, block):
+            end = min(start + block, stop)
+            q_t = query[start:end].T.copy()
+            dist = _pairwise_l1(q_t, s_t, 0, d, tmp[: end - start])
+            span = np.arange(end - start)
+            for c, lo, hi in members:
+                best = lo + dist[:, lo:hi].argmin(axis=1)
+                umin[start:end, c] = order[best]
+                dmin[start:end, c] = dist[span, best]
+
+    cuts = [n_query * i // threads for i in range(threads + 1)]
+    if threads == 1:
+        share(0, n_query)
+    else:
+        with ThreadPoolExecutor(threads - 1) as pool:
+            others = [pool.submit(share, cuts[i], cuts[i + 1]) for i in range(1, threads)]
+            share(cuts[0], cuts[1])
+            for future in others:
+                future.result()
     return dmin, umin
 
 

@@ -40,12 +40,11 @@ _ENCODE_BATCH_ROWS = 2048
 
 def _batches(docs: Iterable[Document]) -> Iterator[list[Document]]:
     """Runs of consecutive documents of at most ``_ENCODE_BATCH_ROWS`` rows; a longer document makes a
-    run of its own. No run is a single row: numpy multiplies one row with another BLAS kernel (gemv)
-    than a stack (gemm), which would change the row's last bits."""
+    run of its own."""
     batch: list[Document] = []
     n_rows = 0
     for doc in docs:
-        if n_rows > 1 and len(doc.tokens) > 1 and n_rows + len(doc.tokens) > _ENCODE_BATCH_ROWS:
+        if batch and n_rows + len(doc.tokens) > _ENCODE_BATCH_ROWS:
             yield batch
             batch, n_rows = [], 0
         batch.append(doc)

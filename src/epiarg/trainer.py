@@ -441,7 +441,7 @@ def train(
     state = AdamState(params) if train_cfg.optimizer == "adamw" else None
     history: list[tuple[int, float]] = []
     best_f1 = -1.0
-    best_params = params  # the last episode always validates, which replaces this with a copy
+    best_params = params  # replaced at the first validation; the last episode always validates
     in_batch = 0
     log_handle = open(log_path, "w", encoding="utf-8") if log_path is not None else None
     try:
@@ -471,7 +471,8 @@ def train(
                 record["dev_f1"] = report.macro_f1
                 if report.macro_f1 > best_f1:
                     best_f1 = report.macro_f1
-                    best_params = params.copy()
+                    # No step follows the last episode, so its parameters need no snapshot.
+                    best_params = params if i == train_cfg.episodes - 1 else params.copy()
             if log_handle is not None:
                 log_handle.write(json.dumps(record) + "\n")
     finally:

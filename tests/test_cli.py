@@ -205,6 +205,29 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith(f"error code=2 kind=config: config field '{field}' must be ")
 
+    @pytest.mark.parametrize(
+        "section, value, named",
+        [
+            ("sampler", {"n_ways": None}, "field 'n_ways' of SamplerConfig must be int"),
+            ("train", {"learning_rate": "0.1"}, "field 'learning_rate' of TrainConfig must be float"),
+            ("head", {"kmeans_k": "6"}, "field 'kmeans_k' of HeadConfig must be int"),
+            ("encoder", {"radius": True}, "field 'radius' of EncoderConfig must be int"),
+            ("sampler", 3, "section 'sampler' must be an object"),
+        ],
+    )
+    def test_bad_section_value_is_config_error(self, workspace, capsys, section, value, named):
+        tmp_path, _, config = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(config, **{section: value})))
+        assert run(bad, "ingest") == 2
+        assert capsys.readouterr().err.startswith(f"error code=2 kind=config: config {named}, got ")
+
+    def test_int_stands_for_float(self, workspace):
+        tmp_path, _, config = workspace
+        path = tmp_path / "int.json"
+        path.write_text(json.dumps(dict(config, train={"learning_rate": 1, "grad_clip_norm": 2})))
+        assert run(path, "ingest") == 0
+
 
     def test_missing_corpus_is_config_error(self, workspace, capsys):
         tmp_path, config_path, config = workspace

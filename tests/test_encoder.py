@@ -103,8 +103,8 @@ class TestToyEncoder:
     def test_stacked_forward_equals_per_document(self):
         """One forward over documents stacked in order gives each document's ``embed_tokens`` rows bit for
         bit, also for a stack larger than the evaluation cache's row budget: rows do not depend on the batch.
-        Every document has two or more tokens, since numpy multiplies a single row with another kernel."""
-        lengths = (3, 17, 40, 9, 2, _ENCODE_BATCH_ROWS - 5, 700, _ENCODE_BATCH_ROWS + 3)
+        The one-token document is encoded alone as one row, which numpy would multiply with another kernel."""
+        lengths = (3, 17, 40, 9, 1, 2, _ENCODE_BATCH_ROWS - 5, 700, _ENCODE_BATCH_ROWS + 3)
         for d_emb, d_model in ((16, 12), (64, 64)):
             cfg = EncoderConfig(d_emb=d_emb, d_model=d_model, radius=2, n_buckets=64, chunk_length=9)
             rng = np.random.default_rng(6)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -209,6 +211,67 @@ class TestL1Kernel:
         assert np.all(umin[:, 1] == 0)
         assert np.all(dmin[:, [0, 2]] == np.inf) and np.all(umin[:, [0, 2]] == -1)
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "n_query, budget",
+        [(401, "module"), (2, "module"), (1, "module"), (97, 0)],  # 97 rows at one row a block: many blocks a thread
+    )
+    def test_threads_bit_identical_to_broadcast_sum(self, cpus, n_query, budget, monkeypatch):
+        """Every split of the query rows across threads gives numpy's bits, and no thread outlives the call."""
+        monkeypatch.setattr(heads, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(heads, "_L1_THREAD_MIN_WORK", 0)
+        if budget != "module":
+            monkeypatch.setattr(heads, "_L1_BLOCK_BYTES", budget)
+        pools = []
+
+        def pool(*args):
+            pools.append(args)
+            return ThreadPoolExecutor(*args)
+
+        monkeypatch.setattr(heads, "ThreadPoolExecutor", pool)
+        rng = np.random.default_rng(n_query)
+        rows = rng.normal(size=(300, 32)) * 10.0 ** rng.uniform(-3, 3, size=32)
+        labels = rng.integers(0, 4, size=300)
+        query = rng.normal(size=(n_query, 32))
+        query[0] = rows[0]
+        before = threading.active_count()
+        dmin, umin = nearest_per_class(query, rows, labels, 5)
+        assert threading.active_count() == before
+        assert pools == ([(min(cpus, n_query) - 1,)] if min(cpus, n_query) > 1 else [])
+        ref_d, ref_u = broadcast_nearest_per_class(query, rows, labels, 5)
+        assert np.array_equal(dmin, ref_d)
+        assert np.array_equal(umin, ref_u)
+
+    def test_small_kernel_stays_on_calling_thread(self, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("no executor below the work threshold")
+
+        monkeypatch.setattr(heads, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(heads, "ThreadPoolExecutor", no_pool)
+        rng = np.random.default_rng(5)
+        rows, labels = rng.normal(size=(40, 32)), rng.integers(0, 3, size=40)
+        query = rng.normal(size=(heads._L1_THREAD_MIN_WORK // (40 * 32) - 1, 32))
+        dmin, umin = nearest_per_class(query, rows, labels, 3)
+        ref_d, ref_u = broadcast_nearest_per_class(query, rows, labels, 3)
+        assert np.array_equal(dmin, ref_d) and np.array_equal(umin, ref_u)
+
+    def test_error_in_a_worker_share_reaches_the_caller(self, monkeypatch):
+        pairwise_l1 = heads._pairwise_l1
+
+        def fail_off_main(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("worker share failed")
+            return pairwise_l1(*args)
+
+        monkeypatch.setattr(heads, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(heads, "_L1_THREAD_MIN_WORK", 0)
+        monkeypatch.setattr(heads, "_pairwise_l1", fail_off_main)
+        rng = np.random.default_rng(6)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="worker share failed"):
+            nearest_per_class(rng.normal(size=(10, 8)), rng.normal(size=(20, 8)), rng.integers(0, 2, size=20), 2)
+        assert threading.active_count() == before
+
     def test_working_memory_within_budget(self):
         rng = np.random.default_rng(4)
         rows = rng.normal(size=(2000, 32))
@@ -221,6 +284,10 @@ class TestL1Kernel:
         finally:
             tracemalloc.stop()
         assert peak <= heads._L1_BLOCK_BYTES + dmin.nbytes + umin.nbytes
+
+    def test_threads_share_one_memory_budget(self, monkeypatch):
+        monkeypatch.setattr(heads, "_usable_cpus", lambda: 2)
+        self.test_working_memory_within_budget()
 
 
 def broadcast_kmeans(points, k, seed, max_iters=100):

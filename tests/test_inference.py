@@ -146,16 +146,16 @@ class TestEvaluateEpisodes:
         with pytest.raises(ValueError, match="non-finite"):
             evaluate_episodes(episodes, params, head_cfg, encoder_cfg)
 
-    def test_batches_never_isolate_one_row(self, monkeypatch):
+    def test_lone_row_batches_match_stacked_forward(self, monkeypatch):
         """Cached rows equal one stacked forward bit for bit when batch boundaries fall next to
-        one-token documents (a lone row would take numpy's one-row matmul)."""
+        one-token documents, also where a batch is one lone row."""
         monkeypatch.setattr(inference, "_ENCODE_BATCH_ROWS", 8)
         rng = np.random.default_rng(3)
         lengths = (1, 7, 1, 8, 5, 3, 1, 2, 9, 1)
         docs = [Document(f"d{i}", "", "e", tuple(f"w{int(rng.integers(50))}" for _ in range(n)), ()) for i, n in enumerate(lengths)]
         batches = list(inference._batches(docs))
         assert [d for batch in batches for d in batch] == docs
-        assert len(batches) > 3 and all(sum(len(d.tokens) for d in batch) > 1 for batch in batches)
+        assert len(batches) > 3 and any(sum(len(d.tokens) for d in batch) == 1 for batch in batches)
         params, _ = fresh_params("protonet")
         plans = [chunk_document(n, ENCODER.chunk_length) for n in lengths]
         expected, _ = encode_docs(params.encoder, [params.encoder.bucket_indices(d.tokens) for d in docs], plans)

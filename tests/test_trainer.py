@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import epiarg.inference
 from epiarg.corpus import compute_split
 from epiarg.encoder import EncoderConfig, chunk_document, embed_tokens
 from epiarg.heads import (
@@ -25,6 +27,7 @@ from epiarg.seeds import substream
 from epiarg.synthetic import separable_corpus
 from epiarg.trainer import (
     AdamState,
+    Checkpoint,
     EpisodeTensors,
     Gradients,
     NumericalError,
@@ -528,6 +531,26 @@ class TestTrainLoop:
         assert len(lines) == 6
         assert all("loss" in l for l in lines)
         assert "dev_f1" in lines[2] and "dev_f1" in lines[5]
+
+    @pytest.mark.parametrize("dev_f1s, best", [((0.2, 0.5), 1), ((0.5, 0.2), 0)])
+    def test_checkpoint_holds_parameters_of_best_validation(self, tmp_path, monkeypatch, dev_f1s, best):
+        """The checkpoint saves the parameters as they were at the best validation, whether that is a
+        mid-run one (a snapshot later steps must not change) or the last one (kept without a copy)."""
+        snapshots = []
+
+        def scripted_validation(episodes, params, *args, **kwargs):
+            snapshots.append(params.copy())
+            return SimpleNamespace(macro_f1=dev_f1s[len(snapshots) - 1])
+
+        monkeypatch.setattr(epiarg.inference, "evaluate_episodes", scripted_validation)
+        split = self._split()
+        sampler_cfg, _, encoder_cfg = self._cfgs(6, seed=6)
+        train_cfg = TrainConfig(episodes=6, learning_rate=0.02, validate_every=3, seed=6, dev_episodes=4)
+        ckpt = train(split, sampler_cfg, train_cfg, HeadConfig("protonet"), encoder_cfg)
+        assert not np.array_equal(snapshots[0].encoder.table, snapshots[1].encoder.table)
+        save_checkpoint(ckpt, tmp_path / "trained.fdck")
+        save_checkpoint(Checkpoint(snapshots[best], ckpt.config, ckpt.episode, ckpt.history), tmp_path / "copy.fdck")
+        assert (tmp_path / "trained.fdck").read_bytes() == (tmp_path / "copy.fdck").read_bytes()
 
     def test_validate_every_must_fit_budget(self):
         with pytest.raises(ValueError, match="validate_every"):
