@@ -93,7 +93,6 @@ class RunConfig:
     seed: int = 0
     min_count: int = 2
     balance: bool = True
-    workers: int = 1
     embedding_source: str = "toy"
     checkpoint: str | None = None
     episode_counts: dict = field(default_factory=lambda: {"train": 2000, "dev": 200, "test": 200})
@@ -117,7 +116,6 @@ class RunConfig:
             seed=_int_field(data, "seed", defaults.seed),
             min_count=_int_field(data, "min_count", defaults.min_count),
             balance=_bool_field(data, "balance", defaults.balance),
-            workers=_int_field(data, "workers", defaults.workers),
             embedding_source=data.get("embedding_source", defaults.embedding_source),
             checkpoint=data.get("checkpoint"),
             episode_counts={**defaults.episode_counts, **_section(data, "episode_counts")},
@@ -138,8 +136,6 @@ class RunConfig:
             cfg.split = overrides.split
         if overrides.out is not None:
             cfg.out_dir = overrides.out
-        if getattr(overrides, "workers", None) is not None:
-            cfg.workers = overrides.workers
         # the run seed is the single entropy source for every stage
         sampler_data["seed"] = cfg.seed
         train_data["seed"] = cfg.seed
@@ -275,15 +271,7 @@ def cmd_eval(cfg: RunConfig) -> None:
     if cfg.embedding_source != "toy":
         provider = load_external_embeddings(cfg.embedding_source)
     params = _eval_params(cfg, provider.d_model if provider else None)
-    report = evaluate_episodes(
-        episodes,
-        params,
-        cfg.head,
-        cfg.encoder,
-        provider=provider,
-        seed=cfg.seed,
-        workers=cfg.workers,
-    )
+    report = evaluate_episodes(episodes, params, cfg.head, cfg.encoder, provider=provider, seed=cfg.seed)
     payload = report_json(
         report,
         setting=cfg.sampler.setting,
@@ -377,8 +365,6 @@ def _parse_args(argv):
         p.add_argument("--split", type=str, default=None)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--episodes", type=int, default=None)
-        if name == "eval":
-            p.add_argument("--workers", type=int, default=None, help="evaluation worker processes")
     return parser.parse_args(argv)
 
 

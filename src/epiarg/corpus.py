@@ -146,6 +146,8 @@ class SplitSpec(Record):
     frequent_roles: tuple[str, ...] = DEFAULT_FREQUENT_ROLES
     mask_frequent_in_dev: bool = True
 
+    error = SplitSpecError  # what ``from_dict`` raises for a missing or mistyped field
+
     def __post_init__(self):
         if self.name not in SPLIT_NAMES:
             raise SplitSpecError(f"split name must be one of {SPLIT_NAMES}, got {self.name!r}")
@@ -181,20 +183,6 @@ class SplitSpec(Record):
         if name is not None and name != spec.name:
             raise SplitSpecError(f"{path} holds split {spec.name!r}, not {name!r}")
         return spec
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SplitSpec":
-        try:
-            return cls(
-                name=data["name"],
-                train_event_types=tuple(data["train_event_types"]),
-                dev_event_types=tuple(data["dev_event_types"]),
-                test_event_types=tuple(data["test_event_types"]),
-                frequent_roles=tuple(data.get("frequent_roles", DEFAULT_FREQUENT_ROLES)),
-                mask_frequent_in_dev=bool(data.get("mask_frequent_in_dev", True)),
-            )
-        except KeyError as exc:
-            raise SplitSpecError(f"split spec missing field {exc.args[0]!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Document
+from .corpus import Document
 from .record import Record
 
 _MAGIC = b"FDAE"
@@ -263,15 +263,6 @@ class EmbeddingProvider:
                 f"doc {doc.doc_id!r}: {rows.shape[0]} embedding rows and {len(doc.tokens)} tokens disagree"
             )
         return rows
-
-    def stacked(self, docs: Iterable[Document]) -> np.ndarray:
-        """Rows of the documents stacked in order, each read and checked once."""
-        return np.vstack([self.rows_of(doc) for doc in docs])
-
-    def validate_against(self, corpus: Corpus) -> None:
-        """Every corpus document must be present with one row per token."""
-        for doc in corpus:
-            self.rows_of(doc)
 
 
 def _require_bytes(handle, size: int, n: int, what: str) -> None:

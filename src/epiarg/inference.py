@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .corpus import Document
-from .encoder import EmbeddingProvider, EncoderConfig, ToyEncoderParams, chunk_document, encode_docs
+from .encoder import EmbeddingProvider, EncoderConfig, chunk_document, encode_docs
 from .evaluation import (
     EvalReport,
     FpFnCounts,
@@ -53,23 +52,31 @@ def _batches(docs: Iterable[Document]) -> Iterator[list[Document]]:
         yield batch
 
 
-class _EncodedDocs:
-    """Toy-encoder rows of distinct documents under fixed parameters, keyed by doc_id.
+class _DocumentRows:
+    """Rows of distinct documents, keyed by doc_id: read once from an embedding file, or encoded once
+    under toy-encoder parameters.
 
-    The documents are hashed once and encoded in stacked batches (``_batches``).
-    A document's rows do not depend on the other rows of its stack, so they
-    equal those of any other stacked forward bit for bit. Each document's rows
-    are checked for finiteness once, here. The cache holds one f64 row per token.
+    With an ``EmbeddingProvider``, each document is read and checked to hold one row per token.
+    Otherwise the documents are hashed once and encoded in stacked batches (``_batches``). A
+    document's rows do not depend on the other rows of its stack, so they equal those of any other
+    stacked forward bit for bit. Each document's rows are checked for finiteness once, here. The
+    cache holds one f64 row per token.
     """
 
-    def __init__(self, encoder: ToyEncoderParams, docs: Iterable[Document], chunk_length: int):
+    def __init__(
+        self, docs: Iterable[Document], params: ModelParams | None, provider: EmbeddingProvider | None, chunk_length: int
+    ):
         unique: dict[str, Document] = {}
         for doc in docs:
             unique.setdefault(doc.doc_id, doc)
-        self._rows: dict[str, np.ndarray] = {}
+        if provider is not None:
+            self._rows = {doc_id: provider.rows_of(doc) for doc_id, doc in unique.items()}
+            return
+        assert params is not None, "either toy parameters or an embedding provider is required"
+        self._rows = {}
         for batch in _batches(unique.values()):
             plans = [chunk_document(len(doc.tokens), chunk_length) for doc in batch]
-            rows, _ = encode_docs(encoder, [encoder.bucket_indices(doc.tokens) for doc in batch], plans)
+            rows, _ = encode_docs(params.encoder, [params.encoder.bucket_indices(doc.tokens) for doc in batch], plans)
             ends = list(accumulate(plan.num_tokens for plan in plans))
             for doc, start, end in zip(batch, [0] + ends, ends):
                 if not np.all(np.isfinite(rows[start:end])):
@@ -77,32 +84,23 @@ class _EncodedDocs:
                 self._rows[doc.doc_id] = rows[start:end]
 
     def stacked(self, docs: Iterable[Document]) -> np.ndarray:
-        """Rows of the documents stacked in order, as ``EmbeddingProvider.stacked`` gives them."""
+        """Rows of the documents stacked in order."""
         return np.vstack([self._rows[doc.doc_id] for doc in docs])
 
 
-RowSource = EmbeddingProvider | _EncodedDocs
-
-
-def _row_source(
-    docs: Iterable[Document], params: ModelParams | None, provider: RowSource | None, chunk_length: int
-) -> RowSource:
-    """Where rows come from: the given source, or the documents encoded once under ``params``."""
-    if provider is not None:
-        return provider
-    assert params is not None, "either toy parameters or an embedding provider is required"
-    return _EncodedDocs(params.encoder, docs, chunk_length)
-
-
 def _embedded_episode(
-    episode: Episode, params: ModelParams | None, provider: RowSource | None, encoder_cfg: EncoderConfig
+    episode: Episode,
+    params: ModelParams | None,
+    provider: EmbeddingProvider | _DocumentRows | None,
+    encoder_cfg: EncoderConfig,
 ) -> tuple[EpisodeTensors, tuple[np.ndarray, np.ndarray], np.ndarray]:
     """The shared lowering (without hashing), the stacked ``(rows, labels)`` support and the query
-    rows, taken by document from the row source; without one, this episode's documents are encoded."""
-    source = _row_source(episode.support + episode.query, params, provider, encoder_cfg.chunk_length)
+    rows, taken by document from a document cache: the given one, or one of this episode's documents."""
+    rows = provider
+    if not isinstance(rows, _DocumentRows):
+        rows = _DocumentRows(episode.support + episode.query, params, provider, encoder_cfg.chunk_length)
     tensors = episode_tensors(episode, None, encoder_cfg.chunk_length)
-    support = (source.stacked(episode.support), tensors.support_labels)
-    return tensors, support, source.stacked(episode.query)
+    return tensors, (rows.stacked(episode.support), tensors.support_labels), rows.stacked(episode.query)
 
 
 def _prototype_set(episode: Episode, support, head_cfg: HeadConfig, seed: int) -> PrototypeSet:
@@ -124,7 +122,7 @@ def episode_prototypes(
     head_cfg: HeadConfig,
     encoder_cfg: EncoderConfig,
     *,
-    provider: RowSource | None = None,
+    provider: EmbeddingProvider | None = None,
     seed: int = 0,
 ) -> PrototypeSet:
     """Prototype set this episode's support induces (K NOTA vectors for MNAV)."""
@@ -138,14 +136,14 @@ def run_episode(
     head_cfg: HeadConfig,
     encoder_cfg: EncoderConfig,
     *,
-    provider: RowSource | None = None,
+    provider: EmbeddingProvider | _DocumentRows | None = None,
     seed: int = 0,
 ) -> tuple[MatchCounts, FpFnCounts]:
     """Classify the episode's query tokens and score them span-exactly, one query document at a time.
 
-    Rows come from ``provider`` (an external embedding file, or documents
-    ``evaluate_episodes`` encoded once); without one, the episode's documents
-    are encoded under ``params``. Gold spans are viewed through IO labels so
+    Rows come from ``provider`` (an external embedding file, or the document
+    cache of ``evaluate_episodes``); without one, the episode's documents are
+    encoded under ``params``. Gold spans are viewed through IO labels so
     predictions and references use the same notation (adjacent same-role gold
     spans merge).
     """
@@ -176,39 +174,6 @@ def run_episode(
     return score_episode(pred_spans, gold_spans, episode.active_types), tokens
 
 
-def _run_chunk(
-    episodes: Sequence[Episode],
-    params: ModelParams | None,
-    head_cfg: HeadConfig,
-    encoder_cfg: EncoderConfig,
-    provider: EmbeddingProvider | None,
-    seed: int,
-) -> list[tuple[MatchCounts, FpFnCounts]]:
-    """Run each episode against rows of the chunk's documents, encoded once for the whole chunk."""
-    docs = (doc for episode in episodes for doc in episode.support + episode.query)
-    source = _row_source(docs, params, provider, encoder_cfg.chunk_length)
-    return [run_episode(ep, params, head_cfg, encoder_cfg, provider=source, seed=seed) for ep in episodes]
-
-
-_EVAL_CTX: dict = {}
-
-
-def _init_eval_worker(params, head_cfg, encoder_cfg, provider_path, seed):
-    from .encoder import load_external_embeddings
-
-    _EVAL_CTX["args"] = (
-        params,
-        head_cfg,
-        encoder_cfg,
-        load_external_embeddings(provider_path) if provider_path else None,
-        seed,
-    )
-
-
-def _run_eval_worker(episodes: Sequence[Episode]):
-    return _run_chunk(episodes, *_EVAL_CTX["args"])
-
-
 def evaluate_episodes(
     episodes: Sequence[Episode],
     params: ModelParams | None,
@@ -217,28 +182,18 @@ def evaluate_episodes(
     *,
     provider: EmbeddingProvider | None = None,
     seed: int = 0,
-    workers: int = 1,
 ) -> EvalReport:
-    """Score a set of episodes; deterministic for fixed inputs and any worker count.
+    """Score a set of episodes with ``run_episode``; deterministic for fixed inputs.
 
-    Toy-encoder rows are computed once per distinct document of the set (once
-    per worker with ``workers > 1``, each of which takes one contiguous chunk).
+    Each distinct document of the set is encoded under ``params``, or read from
+    ``provider``, once per call; every episode takes its rows from that cache.
     """
     if not episodes:
         raise ValueError("no episodes to evaluate")
-    if workers > 1:
-        n = len(episodes)
-        chunks = [episodes[i * n // workers : (i + 1) * n // workers] for i in range(workers)]
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_eval_worker,
-            initargs=(params, head_cfg, encoder_cfg, str(provider.path) if provider else None, seed),
-        ) as executor:
-            results = [result for chunk in executor.map(_run_eval_worker, chunks) for result in chunk]
-    else:
-        results = _run_chunk(episodes, params, head_cfg, encoder_cfg, provider, seed)
-    counts = [match for match, _ in results]
+    docs = (doc for episode in episodes for doc in episode.support + episode.query)
+    rows = _DocumentRows(docs, params, provider, encoder_cfg.chunk_length)
+    results = [run_episode(ep, params, head_cfg, encoder_cfg, provider=rows, seed=seed) for ep in episodes]
     tokens = FpFnCounts()
     for _, t in results:
         tokens.merge(t)
-    return aggregate(counts, token_counts=tokens, episode_count=len(episodes))
+    return aggregate([match for match, _ in results], token_counts=tokens, episode_count=len(episodes))

@@ -3,10 +3,11 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
-from epiarg.cli import RunConfig, _parse_args, main
+from epiarg.cli import _COMMANDS, RunConfig, _parse_args, main
 from epiarg.corpus import ArgumentSpan, Corpus, Document, SplitCorpus, SplitSpec, write_corpus
 from epiarg.encoder import EncoderConfig
 from epiarg.heads import HeadConfig
@@ -130,18 +131,6 @@ class TestWorkflow:
         assert run(config_path, "sample") == 0
         assert (out / "episodes_train.jsonl").read_bytes() == first
 
-    def test_eval_workers_do_not_change_report(self, workspace):
-        tmp_path, config_path, _ = workspace
-        out = tmp_path / "out"
-        assert run(config_path, "split") == 0
-        assert run(config_path, "sample") == 0
-        assert run(config_path, "eval", "--workers", "1") == 0
-        serial = (out / "report_protonet_3w1d.json").read_bytes()
-        assert run(config_path, "eval", "--workers", "2") == 0
-        parallel = (out / "report_protonet_3w1d.json").read_bytes()
-        assert parallel == serial.replace(b'"workers": 1', b'"workers": 2')
-        assert json.loads(parallel)["config"]["workers"] == 2
-
     def test_cli_overrides_apply(self, workspace):
         tmp_path, config_path, _ = workspace
         out2 = tmp_path / "other"
@@ -166,11 +155,38 @@ class TestConfig:
         loaded = load_config(tmp_path, {"seed": "7", "min_count": "3"})
         assert (loaded.seed, loaded.min_count) == (7, 3)
 
+    def test_every_field_round_trips_through_load(self, tmp_path):
+        """A config with a non-default value in every field reads back equal from its JSON form."""
+        seed = 5
+        cfg = RunConfig(
+            corpus="c.jsonl",
+            split_spec="s.json",
+            split="cross_domain",
+            out_dir="elsewhere",
+            seed=seed,
+            min_count=3,
+            balance=False,
+            embedding_source="emb.fdae",
+            checkpoint="ck.fdck",
+            episode_counts={"train": 7, "dev": 8, "test": 9},
+            export_episodes=4,
+            sampler=SamplerConfig(n_ways=2, d_docs=2, query_size=2, seed=seed, max_attempts=50),
+            train=TrainConfig(
+                episodes=12, learning_rate=0.5, grad_clip_norm=2.0, validate_every=6, seed=seed,
+                batch_size=3, optimizer="sgd", weight_decay=0.1, dev_episodes=5,
+            ),
+            encoder=EncoderConfig(d_emb=8, d_model=16, radius=2, n_buckets=512, chunk_length=32, init_scale=0.1),
+            head=HeadConfig("mnav", d_reduced=8, kmeans_k=3, kmeans_iters=20),
+        )
+        defaults = RunConfig()
+        assert [f.name for f in fields(RunConfig) if getattr(cfg, f.name) == getattr(defaults, f.name)] == []
+        assert load_config(tmp_path, json.loads(json.dumps(cfg.to_dict()))) == cfg
+
     def test_stamped_key_order(self):
         """Checkpoint meta is not key-sorted, so field order is part of the checkpoint bytes."""
         assert json.dumps(RunConfig().to_dict()) == (
             '{"corpus": null, "split_spec": null, "split": null, "out_dir": "out", "seed": 0, "min_count": 2, '
-            '"balance": true, "workers": 1, "embedding_source": "toy", "checkpoint": null, '
+            '"balance": true, "embedding_source": "toy", "checkpoint": null, '
             '"episode_counts": {"train": 2000, "dev": 200, "test": 200}, "export_episodes": 50, '
             '"sampler": {"n_ways": 3, "d_docs": 1, "query_size": 1, "seed": 0, "max_attempts": 100000}, '
             '"train": {"episodes": 2000, "learning_rate": 1e-05, "grad_clip_norm": 1.0, "validate_every": 500, '
@@ -240,12 +256,21 @@ class TestErrorPaths:
         assert err.startswith("error code=2 kind=config:")
         assert "\n" not in err.strip()
 
-    def test_workers_is_an_eval_option_only(self, workspace, capsys):
-        _, config_path, _ = workspace
-        with pytest.raises(SystemExit) as exc:
-            run(config_path, "sample", "--workers", "2")
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    def test_retired_workers_option(self, workspace, capsys):
+        """``--workers`` is no option of any command; a config file that still sets ``workers`` loads,
+        and the config its outputs carry has no such key."""
+        tmp_path, config_path, config = workspace
+        for command in _COMMANDS:
+            with pytest.raises(SystemExit) as exc:
+                run(config_path, command, "--workers", "2")
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({**config, "workers": 2}))
+        assert run(old, "ingest") == 0
+        stamped = json.loads((tmp_path / "out" / "stats.json").read_text())["config"]
+        assert "workers" not in stamped
+        assert stamped == json.loads(json.dumps(RunConfig.load(config_path, _parse_args(["ingest"])).to_dict()))
 
     def test_infeasible_sampling_exit_code(self, workspace, capsys):
         tmp_path, config_path, config = workspace

@@ -212,6 +212,18 @@ class TestSplits:
         with pytest.raises(SplitSpecError, match="holds split 'custom', not 'cross_domain'"):
             SplitSpec.from_json(path, "cross_domain")
 
+    @pytest.mark.parametrize(
+        "field, value", [("train_event_types", "attack"), ("mask_frequent_in_dev", "false"), ("dev_event_types", None)]
+    )
+    def test_spec_json_values_are_type_checked(self, tmp_path, field, value):
+        """A string where a list of event types belongs, a string flag or a missing field (None here)
+        is an error naming the field, not a misread spec."""
+        data = {**SplitSpec("custom", ("attack",), ("e2",), ("e3",)).to_dict(), field: value}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({k: v for k, v in data.items() if v is not None}))
+        with pytest.raises(SplitSpecError, match=f"field '{field}'"):
+            SplitSpec.from_json(path)
+
     def test_spec_json_picks_from_specs(self, tmp_path):
         """A ``{"specs": [...]}`` file yields the named spec, or its only one when no name is given."""
         small = SplitSpec("in_domain_small", ("e1",), ("e2",), ("e3",))

@@ -221,13 +221,16 @@ class TestExternalEmbeddings:
         path = tmp_path / "emb.fdae"
         write_external_embeddings(mats, path)
         provider = load_external_embeddings(path)
-        provider.validate_against(corpus)  # row counts equal token counts
+        for doc in corpus:  # row counts equal token counts
+            assert provider.rows_of(doc).shape == (len(doc.tokens), 4)
 
         bad = [EmbeddingMatrix(d.doc_id, rng.normal(size=(len(d.tokens) + 1, 4))) for d in docs]
         path2 = tmp_path / "bad.fdae"
         write_external_embeddings(bad, path2)
-        with pytest.raises(EmbeddingFormatError, match="rows"):
-            load_external_embeddings(path2).validate_against(corpus)
+        bad_provider = load_external_embeddings(path2)
+        for doc in corpus:
+            with pytest.raises(EmbeddingFormatError, match="rows"):
+                bad_provider.rows_of(doc)
 
     def test_truncated_file_is_reported(self, tmp_path):
         """A file cut inside a document's id, row count or rows fails by path, document and byte counts."""

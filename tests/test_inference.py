@@ -8,7 +8,9 @@ import pytest
 from epiarg import inference
 from epiarg.corpus import Document, compute_split
 from epiarg.encoder import (
+    EmbeddingFormatError,
     EmbeddingMatrix,
+    EmbeddingProvider,
     EncoderConfig,
     ToyEncoderParams,
     chunk_document,
@@ -159,28 +161,36 @@ class TestEvaluateEpisodes:
         params, _ = fresh_params("protonet")
         plans = [chunk_document(n, ENCODER.chunk_length) for n in lengths]
         expected, _ = encode_docs(params.encoder, [params.encoder.bucket_indices(d.tokens) for d in docs], plans)
-        cache = inference._EncodedDocs(params.encoder, docs, ENCODER.chunk_length)
+        cache = inference._DocumentRows(docs, params, None, ENCODER.chunk_length)
         assert np.array_equal(cache.stacked(docs), expected)
 
-    def test_workers_match_serial(self, episode_fixture):
-        _, episodes = episode_fixture
-        params, head_cfg = fresh_params("protonet")
-        serial = evaluate_episodes(episodes, params, head_cfg, ENCODER, seed=2)
-        parallel = evaluate_episodes(episodes, params, head_cfg, ENCODER, seed=2, workers=2)
-        assert serial == parallel
-
     @pytest.mark.parametrize("head", ["protonet", "nnshot", "mnav"])
-    def test_workers_match_serial_with_external_provider(self, episode_fixture, tmp_path, head):
-        """Each worker reopens the embedding file by its path."""
+    def test_provider_reads_each_document_once(self, episode_fixture, tmp_path, monkeypatch, head):
+        """Through an embedding file, the report is what standalone ``run_episode`` calls add up to,
+        and each distinct document of the set is read once."""
         _, episodes = episode_fixture
         params, head_cfg = fresh_params(head)
         docs = {d.doc_id: d for ep in episodes for d in ep.support + ep.query}
         mats = [embed_tokens(params.encoder, d, chunk_document(len(d.tokens), ENCODER.chunk_length)) for d in docs.values()]
         write_external_embeddings(mats, tmp_path / "emb.fdae")
         provider = load_external_embeddings(tmp_path / "emb.fdae")
-        serial = evaluate_episodes(episodes, params, head_cfg, ENCODER, provider=provider, seed=2)
-        parallel = evaluate_episodes(episodes, params, head_cfg, ENCODER, provider=provider, seed=2, workers=2)
-        assert serial == parallel
+        runs = [run_episode(ep, params, head_cfg, ENCODER, provider=provider, seed=2) for ep in episodes]
+        tokens = FpFnCounts()
+        for _, t in runs:
+            tokens.merge(t)
+        expected = aggregate([m for m, _ in runs], token_counts=tokens, episode_count=len(episodes))
+
+        read = []
+        original = EmbeddingProvider.get
+
+        def counting(self, doc_id):
+            read.append(doc_id)
+            return original(self, doc_id)
+
+        monkeypatch.setattr(EmbeddingProvider, "get", counting)
+        assert evaluate_episodes(episodes, params, head_cfg, ENCODER, provider=provider, seed=2) == expected
+        assert len(docs) < sum(len(ep.support) + len(ep.query) for ep in episodes)
+        assert sorted(read) == sorted(docs)
 
     def test_external_provider_matches_toy(self, episode_fixture, tmp_path):
         """Embeddings exported from the toy encoder and re-read from the binary
@@ -201,19 +211,27 @@ class TestEvaluateEpisodes:
         assert abs(toy.macro_f1 - ext.macro_f1) < 1.0
 
     def test_provider_rows_must_match_token_counts(self, episode_fixture, tmp_path):
-        """A provider document with one row more than its tokens is rejected, not misaligned."""
+        """Offline embeddings with one row per token are accepted; a document with one row more than
+        its tokens is rejected, not misaligned, by ``run_episode`` and ``evaluate_episodes`` alike."""
         _, episodes = episode_fixture
-        params, head_cfg = fresh_params("protonet")
-        episode = episodes[0]
-        docs = episode.support + episode.query
-        extra = {episode.query[0].doc_id: 1}
-        mats = [
-            EmbeddingMatrix(d.doc_id, np.ones((len(d.tokens) + extra.get(d.doc_id, 0), ENCODER.d_model))) for d in docs
-        ]
-        write_external_embeddings(mats, tmp_path / "emb.fdae")
-        provider = load_external_embeddings(tmp_path / "emb.fdae")
-        with pytest.raises(ValueError, match="disagree"):
-            run_episode(episode, None, head_cfg, ENCODER, provider=provider)
+        _, head_cfg = fresh_params("protonet")
+        rng = np.random.default_rng(11)
+        docs = {d.doc_id: d for ep in episodes for d in ep.support + ep.query}
+
+        def provider_with(extra, name):
+            mats = [
+                EmbeddingMatrix(d.doc_id, rng.normal(size=(len(d.tokens) + extra.get(d.doc_id, 0), ENCODER.d_model)))
+                for d in docs.values()
+            ]
+            write_external_embeddings(mats, tmp_path / name)
+            return load_external_embeddings(tmp_path / name)
+
+        evaluate_episodes(episodes, None, head_cfg, ENCODER, provider=provider_with({}, "good.fdae"))
+        bad = provider_with({episodes[-1].query[0].doc_id: 1}, "bad.fdae")
+        with pytest.raises(EmbeddingFormatError, match="disagree"):
+            run_episode(episodes[-1], None, head_cfg, ENCODER, provider=bad)
+        with pytest.raises(EmbeddingFormatError, match="disagree"):
+            evaluate_episodes(episodes, None, head_cfg, ENCODER, provider=bad)
 
     def test_type_disjointness_between_train_and_test_episodes(self):
         """Roles labeled in test episodes never appear labeled in train episodes."""
