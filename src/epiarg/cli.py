@@ -40,7 +40,7 @@ from .encoder import (
 )
 from .evaluation import render_results_table, report_json, write_report
 from .heads import EmptyClassError, HeadConfig, write_prototypes_csv
-from .inference import episode_prototypes, evaluate_episodes
+from .inference import evaluate_episodes, prototype_sets
 from .sampler import (
     InfeasibleSamplingError,
     SamplerConfig,
@@ -68,6 +68,14 @@ def _int_field(data: dict, name: str, default: int) -> int:
         return int(value)
     except (TypeError, ValueError):
         raise ValueError(f"config field {name!r} must be an integer, got {value!r}") from None
+
+
+def _str_field(data: dict, name: str, default: str | None) -> str | None:
+    """A string, or ``null`` where the default is ``None``."""
+    value = data.get(name, default)
+    if not (isinstance(value, str) or (value is None and default is None)):
+        raise ValueError(f"config field {name!r} must be a string, got {value!r}")
+    return value
 
 
 def _section(data: dict, name: str) -> dict:
@@ -109,15 +117,15 @@ class RunConfig:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         defaults = cls()
         cfg = cls(
-            corpus=data.get("corpus"),
-            split_spec=data.get("split_spec"),
-            split=data.get("split"),
-            out_dir=data.get("out_dir", defaults.out_dir),
+            corpus=_str_field(data, "corpus", defaults.corpus),
+            split_spec=_str_field(data, "split_spec", defaults.split_spec),
+            split=_str_field(data, "split", defaults.split),
+            out_dir=_str_field(data, "out_dir", defaults.out_dir),
             seed=_int_field(data, "seed", defaults.seed),
             min_count=_int_field(data, "min_count", defaults.min_count),
             balance=_bool_field(data, "balance", defaults.balance),
-            embedding_source=data.get("embedding_source", defaults.embedding_source),
-            checkpoint=data.get("checkpoint"),
+            embedding_source=_str_field(data, "embedding_source", defaults.embedding_source),
+            checkpoint=_str_field(data, "checkpoint", defaults.checkpoint),
             episode_counts={**defaults.episode_counts, **_section(data, "episode_counts")},
             export_episodes=_int_field(data, "export_episodes", defaults.export_episodes),
         )
@@ -323,10 +331,7 @@ def cmd_export_prototypes(cfg: RunConfig) -> None:
     if cfg.embedding_source != "toy":
         provider = load_external_embeddings(cfg.embedding_source)
     params = _eval_params(cfg, provider.d_model if provider else None)
-    protosets = [
-        episode_prototypes(ep, params, cfg.head, cfg.encoder, provider=provider, seed=cfg.seed)
-        for ep in episodes
-    ]
+    protosets = prototype_sets(episodes, params, cfg.head, cfg.encoder, provider=provider, seed=cfg.seed)
     out_path = cfg.out / "prototypes.csv"
     write_prototypes_csv(protosets, out_path)
     _write_json(

@@ -30,7 +30,7 @@ from .heads import (
 )
 from .sampler import Episode
 from .seeds import substream
-from .trainer import EpisodeTensors, ModelParams, episode_tensors
+from .trainer import ModelParams, lower_docs
 
 # Token rows per stacked encoder forward while encoding a document cache. It bounds the transient
 # gathered-table, window-mean and projected arrays at 1 MB each for d = 64.
@@ -54,18 +54,20 @@ def _batches(docs: Iterable[Document]) -> Iterator[list[Document]]:
 
 class _DocumentRows:
     """Rows of distinct documents, keyed by doc_id: read once from an embedding file, or encoded once
-    under toy-encoder parameters.
+    under toy-encoder parameters; and the prototype set of each distinct support set.
 
     With an ``EmbeddingProvider``, each document is read and checked to hold one row per token.
     Otherwise the documents are hashed once and encoded in stacked batches (``_batches``). A
     document's rows do not depend on the other rows of its stack, so they equal those of any other
     stacked forward bit for bit. Each document's rows are checked for finiteness once, here. The
-    cache holds one f64 row per token.
+    cache holds one f64 row per token, and one (N+1)-row prototype set per distinct support set.
     """
 
     def __init__(
         self, docs: Iterable[Document], params: ModelParams | None, provider: EmbeddingProvider | None, chunk_length: int
     ):
+        self._chunk_length = chunk_length
+        self._prototypes: dict[tuple, PrototypeSet] = {}
         unique: dict[str, Document] = {}
         for doc in docs:
             unique.setdefault(doc.doc_id, doc)
@@ -87,33 +89,50 @@ class _DocumentRows:
         """Rows of the documents stacked in order."""
         return np.vstack([self._rows[doc.doc_id] for doc in docs])
 
+    def support(self, episode: Episode) -> tuple[np.ndarray, np.ndarray]:
+        """The episode's stacked support rows and IO labels."""
+        _, _, labels = lower_docs(episode.support, episode.active_types, None, self._chunk_length)
+        return self.stacked(episode.support), labels
 
-def _embedded_episode(
-    episode: Episode,
+    def prototypes(self, episode: Episode, head_cfg: HeadConfig, seed: int) -> PrototypeSet:
+        """The prototype set the episode's support induces: class means, with K k-means NOTA vectors
+        in place of the O mean for MNAV.
+
+        Class means depend only on the support set, so they are computed once per distinct set, keyed
+        by the active types and each support document's ``doc_id`` and spans (rows are served by
+        ``doc_id``, and IO labels are a function of the spans and the active types). MNAV's NOTA
+        vectors come from k-means seeded by the episode id, so MNAV builds its set for every episode.
+        """
+        if head_cfg.name == "mnav":
+            return build_mnav_prototypes(
+                self.support(episode),
+                episode.active_types,
+                head_cfg.kmeans_k,
+                substream(seed, "kmeans", episode.episode_id),
+                head_cfg.kmeans_iters,
+            )
+        key = (episode.active_types, tuple((doc.doc_id, doc.arguments) for doc in episode.support))
+        if key not in self._prototypes:
+            self._prototypes[key] = compute_prototypes(self.support(episode), episode.active_types)
+        return self._prototypes[key]
+
+
+def prototype_sets(
+    episodes: Sequence[Episode],
     params: ModelParams | None,
-    provider: EmbeddingProvider | _DocumentRows | None,
+    head_cfg: HeadConfig,
     encoder_cfg: EncoderConfig,
-) -> tuple[EpisodeTensors, tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """The shared lowering (without hashing), the stacked ``(rows, labels)`` support and the query
-    rows, taken by document from a document cache: the given one, or one of this episode's documents."""
-    rows = provider
-    if not isinstance(rows, _DocumentRows):
-        rows = _DocumentRows(episode.support + episode.query, params, provider, encoder_cfg.chunk_length)
-    tensors = episode_tensors(episode, None, encoder_cfg.chunk_length)
-    return tensors, (rows.stacked(episode.support), tensors.support_labels), rows.stacked(episode.query)
+    *,
+    provider: EmbeddingProvider | None = None,
+    seed: int = 0,
+) -> list[PrototypeSet]:
+    """The prototype set each episode's support induces (K NOTA vectors for MNAV).
 
-
-def _prototype_set(episode: Episode, support, head_cfg: HeadConfig, seed: int) -> PrototypeSet:
-    """Class means, with K k-means NOTA vectors in place of the O mean for MNAV."""
-    if head_cfg.name == "mnav":
-        return build_mnav_prototypes(
-            support,
-            episode.active_types,
-            head_cfg.kmeans_k,
-            substream(seed, "kmeans", episode.episode_id),
-            head_cfg.kmeans_iters,
-        )
-    return compute_prototypes(support, episode.active_types)
+    One cache serves the whole list: each distinct support document is encoded under ``params``, or
+    read from ``provider``, once, and each distinct support set's class means are computed once.
+    """
+    rows = _DocumentRows((doc for ep in episodes for doc in ep.support), params, provider, encoder_cfg.chunk_length)
+    return [rows.prototypes(ep, head_cfg, seed) for ep in episodes]
 
 
 def episode_prototypes(
@@ -126,8 +145,7 @@ def episode_prototypes(
     seed: int = 0,
 ) -> PrototypeSet:
     """Prototype set this episode's support induces (K NOTA vectors for MNAV)."""
-    _, support, _ = _embedded_episode(episode, params, provider, encoder_cfg)
-    return _prototype_set(episode, support, head_cfg, seed)
+    return prototype_sets([episode], params, head_cfg, encoder_cfg, provider=provider, seed=seed)[0]
 
 
 def run_episode(
@@ -143,23 +161,30 @@ def run_episode(
 
     Rows come from ``provider`` (an external embedding file, or the document
     cache of ``evaluate_episodes``); without one, the episode's documents are
-    encoded under ``params``. Gold spans are viewed through IO labels so
-    predictions and references use the same notation (adjacent same-role gold
-    spans merge).
+    encoded under ``params``. Prototypes come from the same cache, so a support
+    set it has seen is not lowered or averaged again. Gold spans are viewed
+    through IO labels so predictions and references use the same notation
+    (adjacent same-role gold spans merge).
     """
-    tensors, support, query_rows = _embedded_episode(episode, params, provider, encoder_cfg)
-    ends = list(accumulate(plan.num_tokens for plan in tensors.query_plans))
-    query = [(query_rows[a:b], tensors.query_labels[a:b]) for a, b in zip([0] + ends, ends)]
+    rows = provider
+    if not isinstance(rows, _DocumentRows):
+        rows = _DocumentRows(episode.support + episode.query, params, provider, encoder_cfg.chunk_length)
+    _, query_plans, query_labels = lower_docs(episode.query, episode.active_types, None, encoder_cfg.chunk_length)
+    query_rows = rows.stacked(episode.query)
+    ends = list(accumulate(plan.num_tokens for plan in query_plans))
+    query = [(query_rows[a:b], query_labels[a:b]) for a, b in zip([0] + ends, ends)]
 
     if head_cfg.name in ("protonet", "baseline_no_finetune", "mnav"):
-        protos = _prototype_set(episode, support, head_cfg, seed)
+        protos = rows.prototypes(episode, head_cfg, seed)
         classify = mnav_classify if head_cfg.name == "mnav" else protonet_classify
         assignments = [classify(protos, mat) for mat, _ in query]
     elif head_cfg.name == "nnshot":
         if params is None or params.reducer is None:
             raise ValueError("nnshot inference requires reducer parameters")
-        reduced_support = (support[0] @ params.reducer, support[1])
-        assignments = [nnshot_classify(reduced_support, mat @ params.reducer, tensors.n_types) for mat, _ in query]
+        support_rows, support_labels = rows.support(episode)
+        reduced_support = (support_rows @ params.reducer, support_labels)
+        n_types = len(episode.active_types)
+        assignments = [nnshot_classify(reduced_support, mat @ params.reducer, n_types) for mat, _ in query]
     else:
         raise ValueError(f"unknown head {head_cfg.name!r}")
 

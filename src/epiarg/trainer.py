@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import SplitCorpus
+from .corpus import Document, SplitCorpus
 from .encoder import (
     ChunkPlan,
     EncoderConfig,
@@ -164,20 +164,24 @@ class EpisodeTensors:
         return len(self.active_types)
 
 
+def lower_docs(
+    docs: Sequence[Document], active_types: Sequence[str], params: ModelParams | None, chunk_length: int
+) -> tuple[list[np.ndarray], list[ChunkPlan], np.ndarray]:
+    """One side of an episode lowered: per-document bucket indices (none when ``params=None``) and
+    chunk plans, and IO labels stacked in document order."""
+    buckets, plans, labels = [], [], []
+    for doc in docs:
+        if params is not None:
+            buckets.append(params.encoder.bucket_indices(doc.tokens))
+        plans.append(chunk_document(len(doc.tokens), chunk_length))
+        labels.append(io_labels(len(doc.tokens), doc.arguments, active_types))
+    return buckets, plans, np.concatenate(labels) if labels else np.empty(0, dtype=np.int64)
+
+
 def episode_tensors(episode: Episode, params: ModelParams | None, chunk_length: int) -> EpisodeTensors:
-    """The one lowering of an episode for training and evaluation; ``params=None`` skips hashing."""
-
-    def lower(docs):
-        buckets, plans, labels = [], [], []
-        for doc in docs:
-            if params is not None:
-                buckets.append(params.encoder.bucket_indices(doc.tokens))
-            plans.append(chunk_document(len(doc.tokens), chunk_length))
-            labels.append(io_labels(len(doc.tokens), doc.arguments, episode.active_types))
-        return buckets, plans, np.concatenate(labels) if labels else np.empty(0, dtype=np.int64)
-
-    sb, sp, sl = lower(episode.support)
-    qb, qp, ql = lower(episode.query)
+    """Both sides of an episode lowered by ``lower_docs``; ``params=None`` skips hashing."""
+    sb, sp, sl = lower_docs(episode.support, episode.active_types, params, chunk_length)
+    qb, qp, ql = lower_docs(episode.query, episode.active_types, params, chunk_length)
     return EpisodeTensors(sb, sp, sl, qb, qp, ql, tuple(episode.active_types))
 
 

@@ -155,6 +155,14 @@ class TestConfig:
         loaded = load_config(tmp_path, {"seed": "7", "min_count": "3"})
         assert (loaded.seed, loaded.min_count) == (7, 3)
 
+    def test_defaults_round_trip_with_nulls(self, tmp_path):
+        """``null`` is accepted for the string fields whose default is ``None``."""
+        defaults = RunConfig()
+        assert [name for name, value in defaults.to_dict().items() if value is None] == [
+            "corpus", "split_spec", "split", "checkpoint"
+        ]
+        assert load_config(tmp_path, json.loads(json.dumps(defaults.to_dict()))) == defaults
+
     def test_every_field_round_trips_through_load(self, tmp_path):
         """A config with a non-default value in every field reads back equal from its JSON form."""
         seed = 5
@@ -211,7 +219,20 @@ class TestConfig:
 class TestErrorPaths:
     @pytest.mark.parametrize(
         "field, value",
-        [("seed", None), ("min_count", "two"), ("export_episodes", "all"), ("balance", "false"), ("balance", 0)],
+        [
+            ("seed", None),
+            ("min_count", "two"),
+            ("export_episodes", "all"),
+            ("balance", "false"),
+            ("balance", 0),
+            ("corpus", 123456),  # not opened as a file descriptor
+            ("split_spec", 7),
+            ("split", 7),
+            ("out_dir", 5),
+            ("out_dir", None),
+            ("embedding_source", 7),
+            ("checkpoint", 7),
+        ],
     )
     def test_bad_scalar_is_config_error(self, workspace, capsys, field, value):
         tmp_path, _, config = workspace

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from epiarg.encoder import (
 )
 from epiarg.evaluation import EvalReport, FpFnCounts, aggregate
 from epiarg.heads import HeadConfig
-from epiarg.inference import episode_prototypes, evaluate_episodes, run_episode
+from epiarg.inference import episode_prototypes, evaluate_episodes, prototype_sets, run_episode
 from epiarg.sampler import SamplerConfig, generate_episode_set
 from epiarg.seeds import substream
 from epiarg.synthetic import separable_corpus, synthetic_corpus
@@ -36,6 +36,20 @@ def episode_fixture():
     split = compute_split(corpus, spec)
     episodes = generate_episode_set(split.dev, SamplerConfig(n_ways=3, d_docs=1, seed=5), 12, label="dev").episodes
     return split, episodes
+
+
+@pytest.fixture(scope="module")
+def repeated_supports(episode_fixture):
+    """The sampled episodes, which already bring three support sets back with other query documents
+    and episode ids, plus two episodes whose support documents are those of the first two under
+    their active types reversed."""
+    _, episodes = episode_fixture
+    reordered = [replace(ep, episode_id=100 + i, active_types=ep.active_types[::-1]) for i, ep in enumerate(episodes[:2])]
+    return list(episodes) + reordered
+
+
+def distinct_supports(episodes):
+    return {(ep.active_types, ep.support) for ep in episodes}
 
 
 def fresh_params(head_name):
@@ -96,6 +110,50 @@ class TestRunEpisode:
         assert protos.nota_vectors.shape == (2, 8)
 
 
+class TestPrototypeSets:
+    @pytest.mark.parametrize("head", ["protonet", "mnav"])
+    def test_equal_per_episode_sets(self, repeated_supports, head):
+        params, head_cfg = fresh_params(head)
+        sets = prototype_sets(repeated_supports, params, head_cfg, ENCODER, seed=3)
+        for episode, protos in zip(repeated_supports, sets, strict=True):
+            alone = episode_prototypes(episode, params, head_cfg, ENCODER, seed=3)
+            assert protos.active_types == alone.active_types
+            assert np.array_equal(protos.type_vectors, alone.type_vectors)
+            assert np.array_equal(protos.nota_vectors, alone.nota_vectors)
+
+    def test_each_support_document_hashed_once(self, repeated_supports, monkeypatch):
+        params, head_cfg = fresh_params("protonet")
+        hashed = []
+        original = ToyEncoderParams.bucket_indices
+
+        def counting(self, tokens):
+            hashed.append(tuple(tokens))
+            return original(self, tokens)
+
+        monkeypatch.setattr(ToyEncoderParams, "bucket_indices", counting)
+        prototype_sets(repeated_supports, params, head_cfg, ENCODER)
+        unique = {d.doc_id: d.tokens for ep in repeated_supports for d in ep.support}
+        assert len(unique) < sum(len(ep.support) for ep in repeated_supports)
+        assert sorted(hashed) == sorted(unique.values())
+
+    def test_each_support_document_read_once(self, repeated_supports, tmp_path, monkeypatch):
+        params, head_cfg = fresh_params("protonet")
+        docs = {d.doc_id: d for ep in repeated_supports for d in ep.support + ep.query}
+        mats = [embed_tokens(params.encoder, d, chunk_document(len(d.tokens), ENCODER.chunk_length)) for d in docs.values()]
+        write_external_embeddings(mats, tmp_path / "emb.fdae")
+        provider = load_external_embeddings(tmp_path / "emb.fdae")
+        read = []
+        original = EmbeddingProvider.rows_of
+
+        def counting(self, doc):
+            read.append(doc.doc_id)
+            return original(self, doc)
+
+        monkeypatch.setattr(EmbeddingProvider, "rows_of", counting)
+        prototype_sets(repeated_supports, None, head_cfg, ENCODER, provider=provider)
+        assert sorted(read) == sorted({d.doc_id for ep in repeated_supports for d in ep.support})
+
+
 class TestEvaluateEpisodes:
     def test_deterministic(self, episode_fixture):
         _, episodes = episode_fixture
@@ -120,10 +178,11 @@ class TestEvaluateEpisodes:
         assert len(unique) < sum(len(ep.support) + len(ep.query) for ep in episodes)
         assert sorted(hashed) == sorted(unique.values())
 
-    @pytest.mark.parametrize("head", ["protonet", "nnshot", "mnav"])
-    def test_report_equals_per_episode_runs(self, episode_fixture, head):
-        """The cached evaluation reports exactly what standalone ``run_episode`` calls add up to."""
-        _, episodes = episode_fixture
+    @pytest.mark.parametrize("head", ["protonet", "baseline_no_finetune", "nnshot", "mnav"])
+    def test_report_equals_per_episode_runs(self, repeated_supports, head):
+        """The cached evaluation reports exactly what standalone ``run_episode`` calls add up to, also
+        where episodes share support sets."""
+        episodes = repeated_supports
         params, head_cfg = fresh_params(head)
         runs = [run_episode(ep, params, head_cfg, ENCODER, seed=4) for ep in episodes]
         tokens = FpFnCounts()
@@ -133,6 +192,43 @@ class TestEvaluateEpisodes:
         report = evaluate_episodes(episodes, params, head_cfg, ENCODER, seed=4)
         for f in fields(EvalReport):
             assert getattr(report, f.name) == getattr(expected, f.name), f.name
+
+    @pytest.mark.parametrize("head", ["protonet", "baseline_no_finetune"])
+    def test_class_means_once_per_support_set(self, repeated_supports, monkeypatch, head):
+        """Class means are computed once per distinct (active types, support) pair; a support set
+        under other active types gets its own."""
+        params, head_cfg = fresh_params(head)
+        calls = []
+        original = inference.compute_prototypes
+
+        def counting(support, active_types):
+            calls.append(tuple(active_types))
+            return original(support, active_types)
+
+        monkeypatch.setattr(inference, "compute_prototypes", counting)
+        evaluate_episodes(repeated_supports, params, head_cfg, ENCODER, seed=4)
+        assert len(distinct_supports(repeated_supports)) < len(repeated_supports)
+        assert len(calls) == len(distinct_supports(repeated_supports))
+
+        calls.clear()
+        first, reordered = repeated_supports[0], repeated_supports[-2]
+        assert first.support == reordered.support and first.active_types != reordered.active_types
+        evaluate_episodes([first, reordered], params, head_cfg, ENCODER, seed=4)
+        assert calls == [first.active_types, reordered.active_types]
+
+    def test_mnav_prototypes_once_per_episode(self, repeated_supports, monkeypatch):
+        """MNAV's NOTA vectors are seeded by the episode id, so no support set shares them."""
+        params, head_cfg = fresh_params("mnav")
+        calls = []
+        original = inference.build_mnav_prototypes
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(inference, "build_mnav_prototypes", counting)
+        evaluate_episodes(repeated_supports, params, head_cfg, ENCODER, seed=4)
+        assert len(calls) == len(repeated_supports)
 
     def test_non_finite_query_embedding_rejected(self, episode_fixture):
         """A NaN in a table row that only query documents of the set use stops the evaluation."""

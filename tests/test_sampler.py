@@ -101,11 +101,14 @@ class TestGenerateEpisodeSet:
         assert [e.support_doc_ids() for e in a] != [e.support_doc_ids() for e in b]
 
     def test_prefix_does_not_depend_on_count(self, tmp_path):
-        """Each episode draws from its own substream, so a longer set extends a shorter one."""
+        """Each episode draws from its own substream, so a longer set extends a shorter one, also
+        across the stratum fallback this corpus triggers."""
         corpus = synthetic_corpus(seed=1, n_docs=100)
         cfg = SamplerConfig(n_ways=3, d_docs=2, seed=7)
-        longer = generate_episode_set(corpus, cfg, 24, balance=True)
-        shorter = generate_episode_set(corpus, cfg, 12, balance=True)
+        with pytest.warns(RuntimeWarning, match="unreachable"):
+            longer = generate_episode_set(corpus, cfg, 24, balance=True)
+        with pytest.warns(RuntimeWarning, match="unreachable"):
+            shorter = generate_episode_set(corpus, cfg, 12, balance=True)
         pl, ps = tmp_path / "l.jsonl", tmp_path / "s.jsonl"
         write_episodes(list(longer)[:12], pl)
         write_episodes(shorter, ps)
