@@ -12,6 +12,7 @@ Exit codes: 0 ok, 2 config error, 3 infeasible sampling, 4 numerical failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -38,7 +39,8 @@ from .encoder import (
     load_external_embeddings,
     write_external_embeddings,
 )
-from .evaluation import render_results_table, report_json, write_report
+from .evaluation import render_results_table, report_json
+from .files import atomic_write
 from .heads import EmptyClassError, HeadConfig, write_prototypes_csv
 from .inference import evaluate_episodes, prototype_sets
 from .sampler import (
@@ -62,12 +64,16 @@ from .trainer import (
 _POOLS = ("train", "dev", "test")
 
 
-def _int_field(data: dict, name: str, default: int) -> int:
+def _int_field(data: dict, name: str, default: int, section: str | None = None) -> int:
+    """A JSON integer, or a string of one such as ``"7"``; ``true`` and any float are config errors."""
     value = data.get(name, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"config field {name!r} must be an integer, got {value!r}") from None
+    if isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        field = f"{section!r} must be an integer for {name!r}" if section else f"{name!r} must be an integer"
+        raise ValueError(f"config field {field}, got {value!r}")
+    return value
 
 
 def _str_field(data: dict, name: str, default: str | None) -> str | None:
@@ -115,7 +121,11 @@ class RunConfig:
         data = {}
         if path is not None:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
+            if not isinstance(data, dict):
+                raise ValueError(f"config {path} must hold a JSON object, got a {type(data).__name__}")
         defaults = cls()
+        counts = _section(data, "episode_counts")
+        counts = {pool: _int_field(counts, pool, 0, "episode_counts") for pool in counts}
         cfg = cls(
             corpus=_str_field(data, "corpus", defaults.corpus),
             split_spec=_str_field(data, "split_spec", defaults.split_spec),
@@ -126,7 +136,7 @@ class RunConfig:
             balance=_bool_field(data, "balance", defaults.balance),
             embedding_source=_str_field(data, "embedding_source", defaults.embedding_source),
             checkpoint=_str_field(data, "checkpoint", defaults.checkpoint),
-            episode_counts={**defaults.episode_counts, **_section(data, "episode_counts")},
+            episode_counts={**defaults.episode_counts, **counts},
             export_episodes=_int_field(data, "export_episodes", defaults.export_episodes),
         )
         sampler_data = _section(data, "sampler")
@@ -176,13 +186,13 @@ def _require(value, message: str):
 
 
 def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_write(path) as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_ingest(cfg: RunConfig) -> None:
     corpus = parse_corpus(_require(cfg.corpus, "config field 'corpus' is required"))
     stats = corpus_stats(corpus)
-    cfg.out.mkdir(parents=True, exist_ok=True)
     _write_json(cfg.stamp({"command": "ingest", "stats": stats.to_dict()}), cfg.out / "stats.json")
     print(
         f"ingested {stats.num_docs} documents, {stats.num_event_types} event types, "
@@ -201,7 +211,6 @@ def cmd_split(cfg: RunConfig) -> None:
         test=filter_rare_types(split.test, cfg.min_count),
     )
     masked, report = apply_leakage_mask(split, spec)
-    cfg.out.mkdir(parents=True, exist_ok=True)
     pools = masked.pools()
     pool_stats = {}
     for name in _POOLS:
@@ -221,10 +230,9 @@ def cmd_split(cfg: RunConfig) -> None:
 
 
 def cmd_sample(cfg: RunConfig) -> None:
-    cfg.out.mkdir(parents=True, exist_ok=True)
     stats_payload = {}
     for name in _POOLS:
-        count = int(cfg.episode_counts.get(name, 0))
+        count = cfg.episode_counts.get(name, 0)
         if count < 1:
             continue
         pool = parse_corpus(cfg.out / f"{name}.jsonl")
@@ -289,7 +297,7 @@ def cmd_eval(cfg: RunConfig) -> None:
         config=cfg.to_dict(),
     )
     out_path = cfg.out / f"report_{cfg.head.name}_{cfg.sampler.setting}.json"
-    write_report(payload, out_path)
+    _write_json(payload, out_path)
     print(
         f"{cfg.head.name} on {len(episodes)} {cfg.sampler.setting} episodes: "
         f"P {report.macro_precision:.2f} R {report.macro_recall:.2f} F1 {report.macro_f1:.2f} "
@@ -307,7 +315,8 @@ def cmd_report(cfg: RunConfig) -> None:
         macro = data["macro"]
         rows.setdefault(data["setting"], {})[data["model"]] = (macro["p"], macro["r"], macro["f1"])
     table = render_results_table({k: rows[k] for k in sorted(rows)})
-    (cfg.out / "report.txt").write_text(table, encoding="utf-8")
+    with atomic_write(cfg.out / "report.txt") as handle:
+        handle.write(table)
     print(table, end="")
 
 
@@ -318,7 +327,6 @@ def cmd_export_embeddings(cfg: RunConfig) -> None:
     for doc in corpus:
         plan = chunk_document(len(doc.tokens), cfg.encoder.chunk_length)
         matrices.append(embed_tokens(params.encoder, doc, plan))
-    cfg.out.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out / "embeddings.fdae"
     write_external_embeddings(matrices, out_path)
     _write_json(cfg.stamp({"command": "export-embeddings", "docs": len(matrices)}), cfg.out / "embeddings.meta.json")

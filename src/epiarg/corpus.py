@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .files import atomic_write
 from .record import Record
 
 
@@ -284,10 +285,9 @@ def parse_corpus(path: str | Path) -> Corpus:
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus in the canonical JSON-lines format (round-trips with ``parse_corpus``)."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         for doc in corpus:
-            handle.write(json.dumps(document_to_record(doc), ensure_ascii=False))
-            handle.write("\n")
+            handle.write(json.dumps(document_to_record(doc), ensure_ascii=False) + "\n")
 
 
 def filter_rare_types(corpus: Corpus, min_count: int) -> Corpus:

@@ -7,8 +7,8 @@ crosses a chunk boundary.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import os
 import struct
 from dataclasses import dataclass
 from itertools import accumulate
@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Document
+from .files import atomic_write, read_checked, require_bytes
 from .record import Record
 
 _MAGIC = b"FDAE"
@@ -184,39 +185,28 @@ def write_external_embeddings(
     document: u32 id byte length, id bytes, u64 row count, rows f32 LE
     row-major. A plain-text ``<path>.idx`` maps doc_id to byte offset.
 
-    The bytes go to temporary files beside the targets that replace them only
-    once complete, so a failure never leaves a half-written file or index.
+    Both files are written through ``atomic_write``, so a failure leaves the previous file and index.
     """
     matrices = list(matrices)
     if not matrices:
         raise ValueError("no matrices to write")
     d_model = matrices[0].rows.shape[1]
-    path = Path(path)
-    index_path = Path(str(path) + ".idx")
-    tmp, tmp_index = (p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in (path, index_path))
     offsets: list[tuple[str, int]] = []
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(_MAGIC)
-            handle.write(struct.pack("<II", _VERSION, d_model))
-            handle.write(struct.pack("<Q", len(matrices)))
-            for mat in matrices:
-                if mat.rows.shape[1] != d_model:
-                    raise ValueError(f"matrix {mat.doc_id!r} has dim {mat.rows.shape[1]}, expected {d_model}")
-                offsets.append((mat.doc_id, handle.tell()))
-                encoded = mat.doc_id.encode("utf-8")
-                handle.write(struct.pack("<I", len(encoded)))
-                handle.write(encoded)
-                handle.write(struct.pack("<Q", mat.rows.shape[0]))
-                handle.write(np.ascontiguousarray(mat.rows, dtype="<f4").tobytes())
-        with open(tmp_index, "w", encoding="utf-8") as idx:
-            for doc_id, offset in offsets:
-                idx.write(f"{doc_id}\t{offset}\n")
-        os.replace(tmp, path)
-        os.replace(tmp_index, index_path)
-    finally:
-        tmp.unlink(missing_ok=True)
-        tmp_index.unlink(missing_ok=True)
+    with atomic_write(str(path) + ".idx") as idx, atomic_write(path, "wb") as handle:
+        handle.write(_MAGIC)
+        handle.write(struct.pack("<II", _VERSION, d_model))
+        handle.write(struct.pack("<Q", len(matrices)))
+        for mat in matrices:
+            if mat.rows.shape[1] != d_model:
+                raise ValueError(f"matrix {mat.doc_id!r} has dim {mat.rows.shape[1]}, expected {d_model}")
+            offsets.append((mat.doc_id, handle.tell()))
+            encoded = mat.doc_id.encode("utf-8")
+            handle.write(struct.pack("<I", len(encoded)))
+            handle.write(encoded)
+            handle.write(struct.pack("<Q", mat.rows.shape[0]))
+            handle.write(np.ascontiguousarray(mat.rows, dtype="<f4").tobytes())
+        for doc_id, offset in offsets:
+            idx.write(f"{doc_id}\t{offset}\n")
 
 
 class EmbeddingProvider:
@@ -227,22 +217,14 @@ class EmbeddingProvider:
         self.d_model = d_model
         self._offsets = offsets
 
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._offsets
-
-    @property
-    def doc_ids(self) -> list[str]:
-        return list(self._offsets)
-
     def get(self, doc_id: str) -> EmbeddingMatrix:
         """The document's rows; a file cut short is an ``EmbeddingFormatError`` naming it and the document."""
         if doc_id not in self._offsets:
             raise EmbeddingFormatError(f"doc_id {doc_id!r} not present in {self.path}")
         with open(self.path, "rb") as handle:
-            size = os.fstat(handle.fileno()).st_size
 
             def read(n: int, what: str) -> bytes:
-                return _read_checked(handle, size, n, f"{what} of doc {doc_id!r}")
+                return read_checked(handle, n, f"{what} of doc {doc_id!r}", EmbeddingFormatError)
 
             handle.seek(self._offsets[doc_id])
             (id_len,) = struct.unpack("<I", read(4, "id length"))
@@ -265,32 +247,18 @@ class EmbeddingProvider:
         return rows
 
 
-def _require_bytes(handle, size: int, n: int, what: str) -> None:
-    """A file of ``size`` bytes with fewer than ``n`` left is an ``EmbeddingFormatError`` naming it."""
-    offset = handle.tell()
-    if n > size - offset:
-        raise EmbeddingFormatError(
-            f"{handle.name}: truncated {what} ({max(0, size - offset)} of {n} bytes at offset {offset})"
-        )
-
-
-def _read_checked(handle, size: int, n: int, what: str) -> bytes:
-    _require_bytes(handle, size, n, what)  # checked before reading, so a corrupt length allocates nothing
-    return handle.read(n)
-
-
 def load_external_embeddings(path: str | Path) -> EmbeddingProvider:
     """Open an embedding file, using the ``.idx`` sidecar when present."""
     path = Path(path)
     with open(path, "rb") as handle:
-        size = os.fstat(handle.fileno()).st_size
+        read = functools.partial(read_checked, handle, error=EmbeddingFormatError)
         header = handle.read(4)
         if header != _MAGIC:
             raise EmbeddingFormatError(f"{path}: bad magic {header!r}")
-        version, d_model = struct.unpack("<II", _read_checked(handle, size, 8, "version and dimension"))
+        version, d_model = struct.unpack("<II", read(8, "version and dimension"))
         if version != _VERSION:
             raise EmbeddingFormatError(f"{path}: unsupported version {version}")
-        (doc_count,) = struct.unpack("<Q", _read_checked(handle, size, 8, "document count"))
+        (doc_count,) = struct.unpack("<Q", read(8, "document count"))
         index_path = Path(str(path) + ".idx")
         offsets: dict[str, int] = {}
         if index_path.exists():
@@ -302,11 +270,11 @@ def load_external_embeddings(path: str | Path) -> EmbeddingProvider:
         else:
             for k in range(doc_count):
                 offset = handle.tell()
-                (id_len,) = struct.unpack("<I", _read_checked(handle, size, 4, f"id length of document {k}"))
-                doc_id = _read_checked(handle, size, id_len, f"id of document {k}").decode("utf-8")
-                (rows,) = struct.unpack("<Q", _read_checked(handle, size, 8, f"row count of document {k}"))
+                (id_len,) = struct.unpack("<I", read(4, f"id length of document {k}"))
+                doc_id = read(id_len, f"id of document {k}").decode("utf-8")
+                (rows,) = struct.unpack("<Q", read(8, f"row count of document {k}"))
                 offsets[doc_id] = offset
-                _require_bytes(handle, size, rows * d_model * 4, f"rows of document {k}")
+                require_bytes(handle, rows * d_model * 4, f"rows of document {k}", EmbeddingFormatError)
                 handle.seek(rows * d_model * 4, 1)
         if len(offsets) != doc_count:
             raise EmbeddingFormatError(

@@ -7,10 +7,8 @@ role all match a gold span.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -233,10 +231,6 @@ def report_json(
     if config is not None:
         payload["config"] = config
     return payload
-
-
-def write_report(report_payload: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report_payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def render_results_table(results: dict[str, dict[str, tuple[float, float, float]]]) -> str:

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .files import atomic_write
 from .record import Record
 
 _QUERY_BLOCK = 256
@@ -421,7 +422,7 @@ def write_prototypes_csv(protosets: Iterable[PrototypeSet], path: str | Path) ->
     if not protosets:
         raise ValueError("no prototype sets to write")
     dim = protosets[0].type_vectors.shape[1]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_write(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(["label"] + [f"dim_{i}" for i in range(dim)])
         for protos in protosets:

@@ -70,7 +70,9 @@ class _DocumentRows:
         self._prototypes: dict[tuple, PrototypeSet] = {}
         unique: dict[str, Document] = {}
         for doc in docs:
-            unique.setdefault(doc.doc_id, doc)
+            seen = unique.setdefault(doc.doc_id, doc)
+            if seen.tokens is not doc.tokens and seen.tokens != doc.tokens:  # sampled episodes share the tuple
+                raise ValueError(f"two documents with doc_id {doc.doc_id!r} have different tokens")
         if provider is not None:
             self._rows = {doc_id: provider.rows_of(doc) for doc_id, doc in unique.items()}
             return

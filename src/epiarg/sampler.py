@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Corpus, Document, document_from_record, document_to_record
+from .files import atomic_write
 from .record import Record
 from .seeds import substream
 
@@ -329,7 +330,7 @@ def episode_stats(episode_set: EpisodeSet | Sequence[Episode]) -> EpisodeStats:
 
 def write_episodes(episodes: EpisodeSet | Sequence[Episode], path: str | Path) -> None:
     """Write episodes as JSON-lines; document records use the corpus schema."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         for ep in episodes:
             record = {
                 "episode_id": ep.episode_id,
@@ -337,8 +338,7 @@ def write_episodes(episodes: EpisodeSet | Sequence[Episode], path: str | Path) -
                 "support": [document_to_record(d) for d in ep.support],
                 "query": [document_to_record(d) for d in ep.query],
             }
-            handle.write(json.dumps(record, ensure_ascii=False))
-            handle.write("\n")
+            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def read_episodes(path: str | Path) -> list[Episode]:

@@ -8,8 +8,9 @@ against central finite differences in the test suite.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,14 +27,15 @@ from .encoder import (
     encode_docs,
     window_means_backward,
 )
+from .files import atomic_write, read_checked
 from .heads import (
     HeadConfig,
     PrototypeSet,
     TokenAssignment,
+    build_mnav_prototypes,
     class_counts,
     compute_prototypes,
     io_labels,
-    kmeans_nota,
     nearest_per_class,
     protonet_classify,
 )
@@ -253,17 +255,16 @@ def forward_backward(
     counts = class_counts(support_labels, tensors.active_types)
 
     if head_cfg.name in ("protonet", "mnav"):
-        protos = compute_prototypes((h_support, support_labels), tensors.active_types)
-        learned = n + 1  # prototype rows whose gradient flows back to support tokens
-        if head_cfg.name == "mnav":
-            if fixed_nota is not None:
-                nota = fixed_nota
-            else:
-                rng = nota_rng if isinstance(nota_rng, np.random.Generator) else np.random.default_rng(nota_rng)
-                o_rows = h_support[support_labels == n]
-                nota = kmeans_nota(o_rows, head_cfg.kmeans_k, rng, head_cfg.kmeans_iters).centroids
-            protos = PrototypeSet(protos.active_types, protos.type_vectors, nota)
-            learned = n
+        support = (h_support, support_labels)
+        if head_cfg.name == "mnav" and fixed_nota is None:
+            protos = build_mnav_prototypes(
+                support, tensors.active_types, head_cfg.kmeans_k, nota_rng, head_cfg.kmeans_iters
+            )
+        else:
+            protos = compute_prototypes(support, tensors.active_types)
+            if head_cfg.name == "mnav":
+                protos = PrototypeSet(protos.active_types, protos.type_vectors, fixed_nota)
+        learned = n if head_cfg.name == "mnav" else n + 1  # prototype rows whose gradient flows to support
         assignment = protonet_classify(protos, h_query)
         loss, dlogits = _softmax_ce_backward(-assignment.class_distances(), gold)
         rows = protos.matrix
@@ -422,6 +423,7 @@ def train(
     Validation runs every ``validate_every`` episodes (and at the end); the
     returned checkpoint carries the parameters with the best dev macro-F1,
     or the final parameters when no validation ever ran.
+    The log at ``log_path``, one JSON line per episode, replaces the previous log once training completes.
     """
     from .inference import evaluate_episodes  # local import to avoid a module cycle
 
@@ -447,8 +449,7 @@ def train(
     best_f1 = -1.0
     best_params = params  # replaced at the first validation; the last episode always validates
     in_batch = 0
-    log_handle = open(log_path, "w", encoding="utf-8") if log_path is not None else None
-    try:
+    with atomic_write(log_path) if log_path is not None else contextlib.nullcontext() as log_handle:
         for i, episode in enumerate(train_episodes):
             tensors = episode_tensors(episode, params, encoder_cfg.chunk_length)
             loss, _ = forward_backward(
@@ -479,9 +480,6 @@ def train(
                     best_params = params if i == train_cfg.episodes - 1 else params.copy()
             if log_handle is not None:
                 log_handle.write(json.dumps(record) + "\n")
-    finally:
-        if log_handle is not None:
-            log_handle.close()
     return Checkpoint(
         params=best_params,
         config=config_echo,
@@ -493,8 +491,7 @@ def train(
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Versioned binary: magic, config JSON blob, then named f32 tensors with shapes.
 
-    The bytes go to a temporary file beside ``path`` that replaces it only once
-    complete, so a crash never leaves a half-written checkpoint at ``path``.
+    Written through ``atomic_write``, so a failure leaves the previous checkpoint at ``path``.
     """
     meta = {
         "config": ckpt.config,
@@ -504,38 +501,25 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     }
     blob = json.dumps(meta, ensure_ascii=False).encode("utf-8")
     tensors = dict(ckpt.params.arrays())
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(_CKPT_MAGIC)
-            handle.write(struct.pack("<I", _CKPT_VERSION))
-            handle.write(struct.pack("<Q", len(blob)))
-            handle.write(blob)
-            handle.write(struct.pack("<I", len(tensors)))
-            for name, arr in tensors.items():
-                encoded = name.encode("utf-8")
-                handle.write(struct.pack("<I", len(encoded)))
-                handle.write(encoded)
-                handle.write(struct.pack("<I", arr.ndim))
-                handle.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-                handle.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with atomic_write(path, "wb") as handle:
+        handle.write(_CKPT_MAGIC)
+        handle.write(struct.pack("<I", _CKPT_VERSION))
+        handle.write(struct.pack("<Q", len(blob)))
+        handle.write(blob)
+        handle.write(struct.pack("<I", len(tensors)))
+        for name, arr in tensors.items():
+            encoded = name.encode("utf-8")
+            handle.write(struct.pack("<I", len(encoded)))
+            handle.write(encoded)
+            handle.write(struct.pack("<I", arr.ndim))
+            handle.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+            handle.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint written by ``save_checkpoint``; a file cut short is a ``ValueError`` naming it."""
-
-    def read(n: int) -> bytes:
-        offset = handle.tell()
-        if n > size - offset:  # checked before reading, so a corrupt length allocates nothing
-            raise ValueError(f"{path}: truncated checkpoint ({size - offset} of {n} bytes at offset {offset})")
-        return handle.read(n)
-
     with open(path, "rb") as handle:
-        size = os.fstat(handle.fileno()).st_size
+        read = functools.partial(read_checked, handle, part="checkpoint", error=ValueError)
         if read(4) != _CKPT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
         (version,) = struct.unpack("<I", read(4))

@@ -152,8 +152,8 @@ class TestConfig:
         assert loaded.to_dict() == RunConfig().to_dict()
 
     def test_scalar_strings_are_coerced(self, tmp_path):
-        loaded = load_config(tmp_path, {"seed": "7", "min_count": "3"})
-        assert (loaded.seed, loaded.min_count) == (7, 3)
+        loaded = load_config(tmp_path, {"seed": "7", "min_count": "3", "episode_counts": {"test": "5"}})
+        assert (loaded.seed, loaded.min_count, loaded.episode_counts["test"]) == (7, 3, 5)
 
     def test_defaults_round_trip_with_nulls(self, tmp_path):
         """``null`` is accepted for the string fields whose default is ``None``."""
@@ -221,6 +221,8 @@ class TestErrorPaths:
         "field, value",
         [
             ("seed", None),
+            ("seed", True),  # not seed 1
+            ("seed", 2.9),  # not seed 2
             ("min_count", "two"),
             ("export_episodes", "all"),
             ("balance", "false"),
@@ -232,6 +234,8 @@ class TestErrorPaths:
             ("out_dir", None),
             ("embedding_source", 7),
             ("checkpoint", 7),
+            ("episode_counts", {"test": 2.5}),  # not 2 episodes
+            ("episode_counts", {"dev": False}),
         ],
     )
     def test_bad_scalar_is_config_error(self, workspace, capsys, field, value):
@@ -241,6 +245,13 @@ class TestErrorPaths:
         assert run(bad, "ingest") == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error code=2 kind=config: config field '{field}' must be ")
+
+    def test_non_object_config_is_config_error(self, workspace, capsys):
+        tmp_path, _, _ = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2]")
+        assert run(bad, "ingest") == 2
+        assert capsys.readouterr().err.startswith(f"error code=2 kind=config: config {bad} must hold a JSON object")
 
     @pytest.mark.parametrize(
         "section, value, named",

@@ -244,6 +244,17 @@ class TestEvaluateEpisodes:
         with pytest.raises(ValueError, match="non-finite"):
             evaluate_episodes(episodes, params, head_cfg, encoder_cfg)
 
+    def test_shared_doc_id_with_other_tokens_rejected(self, episode_fixture):
+        """A query document renamed to another episode's query doc_id is not served that document's rows."""
+        episodes = list(episode_fixture[1][:4])
+        taken = episodes[0].query[0]
+        renamed = replace(episodes[1].query[0], doc_id=taken.doc_id)
+        assert renamed.tokens != taken.tokens
+        episodes[1] = replace(episodes[1], query=(renamed,) + episodes[1].query[1:])
+        params, head_cfg = fresh_params("protonet")
+        with pytest.raises(ValueError, match=f"doc_id {taken.doc_id!r} have different tokens"):
+            evaluate_episodes(episodes, params, head_cfg, ENCODER)
+
     def test_lone_row_batches_match_stacked_forward(self, monkeypatch):
         """Cached rows equal one stacked forward bit for bit when batch boundaries fall next to
         one-token documents, also where a batch is one lone row."""
