@@ -1,8 +1,8 @@
 """Span decoding and span-exact scoring with macro averaging over argument types.
 
-Token labels use IO notation: every token of an argument carries its role,
-everything else carries O. A prediction counts only when start, end, and
-role all match a gold span.
+Token labels use the heads' IO convention: every token of an argument carries
+its active-type index ``0..N-1``, and any other label is O. A prediction counts
+only when start, end, and role all match a gold span.
 """
 
 from __future__ import annotations
@@ -13,29 +13,22 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-O_LABEL = "O"
-
 Span = tuple[int, int, str]
 
 
-def labels_to_strings(labels: Sequence[int] | np.ndarray, active_types: Sequence[str]) -> list[str]:
-    """Map integer labels (N = O) back to role names."""
+def decode_spans(labels: Sequence[int], active_types: Sequence[str]) -> set[Span]:
+    """Maximal runs of one active-type index ``0..N-1`` become one span of that role; any other label
+    is O and breaks runs; a change of type splits."""
     n = len(active_types)
-    return [active_types[i] if 0 <= i < n else O_LABEL for i in labels]
-
-
-def decode_spans(labels: Sequence[str]) -> set[Span]:
-    """Maximal runs of one role become one span; O breaks runs; a role change splits."""
     spans: set[Span] = set()
-    start = None
-    current = O_LABEL
+    start, current = 0, -1
     for i, label in enumerate(labels):
         if label != current:
-            if current != O_LABEL:
-                spans.add((start, i, current))
+            if 0 <= current < n:
+                spans.add((start, i, active_types[current]))
             start, current = i, label
-    if current != O_LABEL:
-        spans.add((start, len(labels), current))
+    if 0 <= current < n:
+        spans.add((start, len(labels), active_types[current]))
     return spans
 
 
@@ -103,28 +96,29 @@ class FpFnCounts:
         return fp_rate, fn_rate
 
 
-def fp_fn_counts(pred: Sequence[str], gold: Sequence[str]) -> FpFnCounts:
+def fp_fn_counts(pred: Sequence[int], gold: Sequence[int], n_types: int) -> FpFnCounts:
+    """Token confusion counts against O, where labels ``0..n_types-1`` are arguments and any other is O."""
     if len(pred) != len(gold):
         raise ValueError("pred and gold label sequences must align")
     counts = FpFnCounts()
     for p, g in zip(pred, gold):
-        if g == O_LABEL:
-            counts.gold_o += 1
-            if p != O_LABEL:
-                counts.fp += 1
-        else:
+        if 0 <= g < n_types:
             counts.gold_arg += 1
-            if p == O_LABEL:
+            if not 0 <= p < n_types:
                 counts.fn += 1
+        else:
+            counts.gold_o += 1
+            if 0 <= p < n_types:
+                counts.fp += 1
     return counts
 
 
-def fp_fn_analysis(pred: Sequence[str], gold: Sequence[str]) -> tuple[float, float]:
+def fp_fn_analysis(pred: Sequence[int], gold: Sequence[int], n_types: int) -> tuple[float, float]:
     """FP rate: gold-O tokens predicted as an argument; FN rate: argument tokens predicted O.
 
     Both are percentages of their own gold class size.
     """
-    return fp_fn_counts(pred, gold).rates()
+    return fp_fn_counts(pred, gold, n_types).rates()
 
 
 def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:

@@ -16,7 +16,6 @@ from .evaluation import (
     aggregate,
     decode_spans,
     fp_fn_counts,
-    labels_to_strings,
     score_episode,
 )
 from .heads import (
@@ -24,6 +23,7 @@ from .heads import (
     PrototypeSet,
     build_mnav_prototypes,
     compute_prototypes,
+    io_labels,
     mnav_classify,
     nnshot_classify,
     protonet_classify,
@@ -86,6 +86,10 @@ class _DocumentRows:
                 if not np.all(np.isfinite(rows[start:end])):
                     raise ValueError(f"doc {doc.doc_id!r}: embeddings contain non-finite entries")
                 self._rows[doc.doc_id] = rows[start:end]
+
+    def rows_of(self, doc: Document) -> np.ndarray:
+        """One document's rows."""
+        return self._rows[doc.doc_id]
 
     def stacked(self, docs: Iterable[Document]) -> np.ndarray:
         """Rows of the documents stacked in order."""
@@ -163,42 +167,40 @@ def run_episode(
 
     Rows come from ``provider`` (an external embedding file, or the document
     cache of ``evaluate_episodes``); without one, the episode's documents are
-    encoded under ``params``. Prototypes come from the same cache, so a support
-    set it has seen is not lowered or averaged again. Gold spans are viewed
-    through IO labels so predictions and references use the same notation
-    (adjacent same-role gold spans merge).
+    encoded under ``params``. Each query document's rows are taken from the
+    cache as they are; prototypes come from the same cache, so a support set it
+    has seen is not lowered or averaged again. Gold spans are viewed through the
+    heads' integer IO labels so predictions and references use the same
+    notation (adjacent same-role gold spans merge).
     """
     rows = provider
     if not isinstance(rows, _DocumentRows):
         rows = _DocumentRows(episode.support + episode.query, params, provider, encoder_cfg.chunk_length)
-    _, query_plans, query_labels = lower_docs(episode.query, episode.active_types, None, encoder_cfg.chunk_length)
-    query_rows = rows.stacked(episode.query)
-    ends = list(accumulate(plan.num_tokens for plan in query_plans))
-    query = [(query_rows[a:b], query_labels[a:b]) for a, b in zip([0] + ends, ends)]
+    query = [rows.rows_of(doc) for doc in episode.query]
+    active = episode.active_types
 
     if head_cfg.name in ("protonet", "baseline_no_finetune", "mnav"):
         protos = rows.prototypes(episode, head_cfg, seed)
         classify = mnav_classify if head_cfg.name == "mnav" else protonet_classify
-        assignments = [classify(protos, mat) for mat, _ in query]
+        assignments = [classify(protos, mat) for mat in query]
     elif head_cfg.name == "nnshot":
         if params is None or params.reducer is None:
             raise ValueError("nnshot inference requires reducer parameters")
         support_rows, support_labels = rows.support(episode)
         reduced_support = (support_rows @ params.reducer, support_labels)
-        n_types = len(episode.active_types)
-        assignments = [nnshot_classify(reduced_support, mat @ params.reducer, n_types) for mat, _ in query]
+        assignments = [nnshot_classify(reduced_support, mat @ params.reducer, len(active)) for mat in query]
     else:
         raise ValueError(f"unknown head {head_cfg.name!r}")
 
     pred_spans, gold_spans = [], []
     tokens = FpFnCounts()
-    for (_, gold), assignment in zip(query, assignments):
-        pred_str = labels_to_strings(assignment.labels, episode.active_types)
-        gold_str = labels_to_strings(gold, episode.active_types)
-        pred_spans.append(decode_spans(pred_str))
-        gold_spans.append(decode_spans(gold_str))
-        tokens.merge(fp_fn_counts(pred_str, gold_str))
-    return score_episode(pred_spans, gold_spans, episode.active_types), tokens
+    for doc, assignment in zip(episode.query, assignments):
+        pred = assignment.labels.tolist()
+        gold = io_labels(len(doc.tokens), doc.arguments, active).tolist()
+        pred_spans.append(decode_spans(pred, active))
+        gold_spans.append(decode_spans(gold, active))
+        tokens.merge(fp_fn_counts(pred, gold, len(active)))
+    return score_episode(pred_spans, gold_spans, active), tokens
 
 
 def evaluate_episodes(

@@ -103,7 +103,8 @@ def test_criterion_3_argument_density_anchor():
 
 def test_criterion_4_evaluation_oracle():
     """Span-exact scoring equals an independent brute-force comparison on
-    1000 random label-sequence pairs; all counts exactly equal."""
+    1000 random label-sequence pairs; all counts exactly equal. The scorer takes
+    the heads' integer labels; the oracle reads them as role names."""
 
     def oracle_spans(labels):
         spans, i = set(), 0
@@ -124,11 +125,12 @@ def test_criterion_4_evaluation_oracle():
             n_types = int(rng.integers(1, 7))
             active = [f"T{i}" for i in range(n_types)]
             length = int(rng.integers(1, 201))
-            vocab = active + ["O"]
-            pred = [vocab[int(rng.integers(len(vocab)))] for _ in range(length)]
-            gold = [vocab[int(rng.integers(len(vocab)))] for _ in range(length)]
-            counts = score_episode([decode_spans(pred)], [decode_spans(gold)], active)
-            p_spans, g_spans = oracle_spans(pred), oracle_spans(gold)
+            vocab = active + ["O"]  # integer label i names vocab[i]; n_types is O
+            pred = [int(rng.integers(len(vocab))) for _ in range(length)]
+            gold = [int(rng.integers(len(vocab))) for _ in range(length)]
+            counts = score_episode([decode_spans(pred, active)], [decode_spans(gold, active)], active)
+            p_spans = oracle_spans([vocab[i] for i in pred])
+            g_spans = oracle_spans([vocab[i] for i in gold])
             tp, fp, fn = Counter(), Counter(), Counter()
             for s in p_spans & g_spans:
                 tp[s[2]] += 1

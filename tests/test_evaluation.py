@@ -10,18 +10,26 @@ from epiarg.evaluation import (
     aggregate,
     decode_spans,
     fp_fn_analysis,
-    labels_to_strings,
+    fp_fn_counts,
     render_results_table,
     report_json,
     score_episode,
 )
 
+ACTIVE = ("A", "B", "C")
+O = len(ACTIVE)  # the heads' O label; any label outside 0..N-1 reads as O
 
-def encode_spans(spans, num_tokens, o_label="O"):
+
+def as_strings(labels, active):
+    """Test-local view of integer labels as role names, for the string oracles."""
+    return [active[i] if 0 <= i < len(active) else "O" for i in labels]
+
+
+def encode_spans(spans, num_tokens, active):
     """Inverse of ``decode_spans`` for non-overlapping span sets."""
-    labels = [o_label] * num_tokens
+    labels = [len(active)] * num_tokens
     for start, end, role in spans:
-        labels[start:end] = [role] * (end - start)
+        labels[start:end] = [active.index(role)] * (end - start)
     return labels
 
 
@@ -53,27 +61,69 @@ def oracle_counts(pred_labels, gold_labels):
     return tp, fp, fn
 
 
+def oracle_fp_fn(pred_labels, gold_labels):
+    """(fp, gold_o, fn, gold_arg) counted on role-name labels."""
+    pairs = list(zip(pred_labels, gold_labels))
+    return (
+        sum(g == "O" and p != "O" for p, g in pairs),
+        sum(g == "O" for _, g in pairs),
+        sum(g != "O" and p == "O" for p, g in pairs),
+        sum(g != "O" for _, g in pairs),
+    )
+
+
+def random_labels(rng, n_types, length):
+    """Integer labels with active types, the heads' O (n_types), and O values above it and below 0."""
+    return [int(v) for v in rng.integers(-2, n_types + 3, size=length)]
+
+
 class TestDecodeSpans:
     def test_all_o(self):
-        assert decode_spans(["O", "O", "O"]) == set()
+        assert decode_spans([O, O, O], ACTIVE) == set()
 
     def test_basic_runs(self):
-        assert decode_spans(["O", "A", "A", "O", "B"]) == {(1, 3, "A"), (4, 5, "B")}
+        assert decode_spans([O, 0, 0, O, 1], ACTIVE) == {(1, 3, "A"), (4, 5, "B")}
 
     def test_type_change_splits(self):
-        assert decode_spans(["A", "B", "B"]) == {(0, 1, "A"), (1, 3, "B")}
+        assert decode_spans([0, 1, 1], ACTIVE) == {(0, 1, "A"), (1, 3, "B")}
+
+    def test_out_of_range_labels_are_o(self):
+        """Labels >= N and < 0 are O: they make no span, and they break a run even where two
+        different O values meet."""
+        assert decode_spans([0, 2, 1, 5], ["A", "B"]) == {(0, 1, "A"), (2, 3, "B")}
+        assert decode_spans([-1, 0, 0, 7, 0, -3, 2, 3], ["A", "B"]) == {(1, 3, "A"), (4, 5, "A")}
+        assert decode_spans([2, 3, -1, 4], ["A", "B"]) == set()
 
     def test_decode_encode_identity(self):
         rng = np.random.default_rng(0)
-        roles = ["A", "B", "C", "O"]
         for _ in range(300):
             n = int(rng.integers(1, 40))
-            labels = [roles[int(rng.integers(4))] for _ in range(n)]
-            spans = decode_spans(labels)
-            assert decode_spans(encode_spans(spans, n)) == spans
+            labels = [int(rng.integers(4)) for _ in range(n)]
+            spans = decode_spans(labels, ACTIVE)
+            assert decode_spans(encode_spans(spans, n, ACTIVE), ACTIVE) == spans
 
-    def test_labels_to_strings(self):
-        assert labels_to_strings([0, 2, 1, 5], ["A", "B"]) == ["A", "O", "B", "O"]
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [0, 0, O, 1, 1],  # runs touching both ends
+            [0, 0, 1, 1, 2],  # adjacent runs of two roles, to the last token
+            [O, O, O, O],  # all O
+            [O + 4, -1, O, -2],  # all O, out of range both ways
+            [1],  # one token, an argument
+            [O],  # one token, O
+            [-5],  # one token, below 0
+        ],
+    )
+    def test_edge_cases_match_oracle(self, labels):
+        assert decode_spans(labels, ACTIVE) == oracle_spans(as_strings(labels, ACTIVE))
+
+    def test_random_integer_labels_match_oracle(self):
+        rng = np.random.default_rng(5)
+        roles = ["A", "B", "C", "D", "E", "F"]
+        for _ in range(1000):
+            active = roles[: int(rng.integers(1, 7))]
+            labels = random_labels(rng, len(active), int(rng.integers(1, 201)))
+            assert decode_spans(labels, active) == oracle_spans(as_strings(labels, active))
 
 
 class TestScoreEpisode:
@@ -86,18 +136,18 @@ class TestScoreEpisode:
         assert (counts.tp["A"], counts.fp["A"], counts.fn["A"]) == (0, 1, 1)
 
     def test_bruteforce_oracle_on_random_pairs(self):
-        """Oracle: independent span decoding and set comparison, 1000 pairs."""
+        """Oracle: independent span decoding and set comparison on the role names of 1000 random
+        integer label-sequence pairs."""
         rng = np.random.default_rng(1)
         roles = ["A", "B", "C", "D", "E", "F"]
         for _ in range(1000):
             n_types = int(rng.integers(1, 7))
             active = roles[:n_types]
             length = int(rng.integers(1, 201))
-            vocab = active + ["O"]
-            pred = [vocab[int(rng.integers(len(vocab)))] for _ in range(length)]
-            gold = [vocab[int(rng.integers(len(vocab)))] for _ in range(length)]
-            counts = score_episode([decode_spans(pred)], [decode_spans(gold)], active)
-            tp, fp, fn = oracle_counts(pred, gold)
+            pred = random_labels(rng, n_types, length)
+            gold = random_labels(rng, n_types, length)
+            counts = score_episode([decode_spans(pred, active)], [decode_spans(gold, active)], active)
+            tp, fp, fn = oracle_counts(as_strings(pred, active), as_strings(gold, active))
             assert counts.tp == tp
             assert counts.fp == fp
             assert counts.fn == fn
@@ -105,14 +155,14 @@ class TestScoreEpisode:
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(2)
         length = 60
-        vocab = ["A", "B", "O"]
-        pred = [vocab[int(rng.integers(3))] for _ in range(length)]
-        gold = [vocab[int(rng.integers(3))] for _ in range(length)]
-        counts = score_episode([decode_spans(pred)], [decode_spans(gold)], ["A", "B"])
-        swap = {"A": "B", "B": "A", "O": "O"}
+        active = ["A", "B"]
+        pred = [int(rng.integers(3)) for _ in range(length)]
+        gold = [int(rng.integers(3)) for _ in range(length)]
+        counts = score_episode([decode_spans(pred, active)], [decode_spans(gold, active)], active)
+        swap = {0: 1, 1: 0, 2: 2}
         pred2 = [swap[l] for l in pred]
         gold2 = [swap[l] for l in gold]
-        counts2 = score_episode([decode_spans(pred2)], [decode_spans(gold2)], ["A", "B"])
+        counts2 = score_episode([decode_spans(pred2, active)], [decode_spans(gold2, active)], active)
         for role, other in (("A", "B"), ("B", "A")):
             assert counts.tp[role] == counts2.tp[other]
             assert counts.fp[role] == counts2.fp[other]
@@ -174,18 +224,38 @@ class TestAggregate:
 
 class TestFpFn:
     def test_identical_labels(self):
-        assert fp_fn_analysis(["O", "A", "A"], ["O", "A", "A"]) == (0.0, 0.0)
+        assert fp_fn_analysis([O, 0, 0], [O, 0, 0], O) == (0.0, 0.0)
 
     def test_all_o_predictions(self):
-        fp, fn = fp_fn_analysis(["O", "O", "O", "O"], ["O", "A", "A", "B"])
+        fp, fn = fp_fn_analysis([O, O, O, O], [O, 0, 0, 1], O)
         assert fp == 0.0
         assert fn == 100.0
 
     def test_rates_are_per_class_percentages(self):
         # 4 gold-O tokens, 1 predicted non-O -> 25%; 2 gold args, 1 predicted O -> 50%
-        pred = ["A", "O", "O", "O", "A", "O"]
-        gold = ["O", "O", "O", "O", "A", "A"]
-        assert fp_fn_analysis(pred, gold) == (25.0, 50.0)
+        pred = [0, O, O, O, 0, O]
+        gold = [O, O, O, O, 0, 0]
+        assert fp_fn_analysis(pred, gold, O) == (25.0, 50.0)
+
+    def test_out_of_range_labels_are_o(self):
+        # gold: -1 and 9 are O, 1 is an argument; pred: 7 is O, -2 is O, 0 is an argument
+        counts = fp_fn_counts([0, 7, -2, 1], [-1, 9, 1, 1], 2)
+        assert (counts.fp, counts.gold_o, counts.fn, counts.gold_arg) == (1, 2, 1, 2)
+
+    def test_random_integer_labels_match_oracle(self):
+        rng = np.random.default_rng(6)
+        for _ in range(500):
+            n_types = int(rng.integers(1, 7))
+            length = int(rng.integers(1, 120))
+            pred, gold = random_labels(rng, n_types, length), random_labels(rng, n_types, length)
+            active = [f"T{i}" for i in range(n_types)]
+            counts = fp_fn_counts(pred, gold, n_types)
+            expected = oracle_fp_fn(as_strings(pred, active), as_strings(gold, active))
+            assert (counts.fp, counts.gold_o, counts.fn, counts.gold_arg) == expected
+
+    def test_misaligned_sequences_rejected(self):
+        with pytest.raises(ValueError, match="align"):
+            fp_fn_counts([0, 1], [0], 2)
 
 
 class TestReportRendering:

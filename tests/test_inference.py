@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from epiarg import inference
-from epiarg.corpus import Document, compute_split
+from epiarg.corpus import ArgumentSpan, Document, compute_split
 from epiarg.encoder import (
     EmbeddingFormatError,
     EmbeddingMatrix,
@@ -19,13 +19,22 @@ from epiarg.encoder import (
     load_external_embeddings,
     write_external_embeddings,
 )
-from epiarg.evaluation import EvalReport, FpFnCounts, aggregate
-from epiarg.heads import HeadConfig
+from epiarg.evaluation import EvalReport, FpFnCounts, MatchCounts, aggregate
+from epiarg.heads import (
+    HeadConfig,
+    build_mnav_prototypes,
+    compute_prototypes,
+    io_labels,
+    mnav_classify,
+    nnshot_classify,
+    protonet_classify,
+)
 from epiarg.inference import episode_prototypes, evaluate_episodes, prototype_sets, run_episode
 from epiarg.sampler import SamplerConfig, generate_episode_set
 from epiarg.seeds import substream
 from epiarg.synthetic import separable_corpus, synthetic_corpus
 from epiarg.trainer import initialize_params
+from test_evaluation import as_strings, oracle_counts, oracle_fp_fn
 
 ENCODER = EncoderConfig(d_emb=8, d_model=8, radius=1, n_buckets=256, chunk_length=64, init_scale=0.3)
 
@@ -46,6 +55,59 @@ def repeated_supports(episode_fixture):
     _, episodes = episode_fixture
     reordered = [replace(ep, episode_id=100 + i, active_types=ep.active_types[::-1]) for i, ep in enumerate(episodes[:2])]
     return list(episodes) + reordered
+
+
+@pytest.fixture(scope="module")
+def multi_doc_queries(episode_fixture):
+    """Episodes with three query documents of different lengths, the last one a single token: the
+    first token of an argument in even episodes, an O token in odd ones."""
+    split, _ = episode_fixture
+    cfg = SamplerConfig(n_ways=3, d_docs=1, query_size=3, seed=8)
+    episodes = []
+    for i, ep in enumerate(generate_episode_set(split.dev, cfg, 6, label="dev").episodes):
+        last = ep.query[-1]
+        arg = next(a for a in last.arguments if a.role in ep.active_types)
+        at = arg.start if i % 2 == 0 else 0
+        spans = (ArgumentSpan(0, 1, arg.role),) if i % 2 == 0 else ()
+        lone = replace(last, doc_id=f"{last.doc_id}/{at}", tokens=(last.tokens[at],), arguments=spans)
+        episodes.append(replace(ep, query=ep.query[:-1] + (lone,)))
+        assert len({len(d.tokens) for d in episodes[-1].query}) == 3
+    return episodes
+
+
+def reference_report(episodes, params, head_cfg, embed, seed):
+    """Each query document embedded on its own, classified through ``heads`` and scored by the oracle."""
+    matches, tokens = [], FpFnCounts()
+    for ep in episodes:
+        active = ep.active_types
+        support = (
+            np.vstack([embed(d) for d in ep.support]),
+            np.concatenate([io_labels(len(d.tokens), d.arguments, active) for d in ep.support]),
+        )
+        if head_cfg.name == "nnshot":
+            reduced = (support[0] @ params.reducer, support[1])
+        elif head_cfg.name == "mnav":
+            kmeans_seed = substream(seed, "kmeans", ep.episode_id)
+            protos = build_mnav_prototypes(support, active, head_cfg.kmeans_k, kmeans_seed, head_cfg.kmeans_iters)
+        else:
+            protos = compute_prototypes(support, active)
+        counts = MatchCounts()
+        for doc in ep.query:
+            rows = embed(doc)
+            if head_cfg.name == "nnshot":
+                labels = nnshot_classify(reduced, rows @ params.reducer, len(active)).labels
+            elif head_cfg.name == "mnav":
+                labels = mnav_classify(protos, rows).labels
+            else:
+                labels = protonet_classify(protos, rows).labels
+            pred, gold = as_strings(labels, active), as_strings(io_labels(len(doc.tokens), doc.arguments, active), active)
+            tp, fp, fn = oracle_counts(pred, gold)
+            counts.tp.update(tp)
+            counts.fp.update(fp)
+            counts.fn.update(fn)
+            tokens.merge(FpFnCounts(*oracle_fp_fn(pred, gold)))
+        matches.append(counts)
+    return aggregate(matches, token_counts=tokens, episode_count=len(episodes))
 
 
 def distinct_supports(episodes):
@@ -339,6 +401,27 @@ class TestEvaluateEpisodes:
             run_episode(episodes[-1], None, head_cfg, ENCODER, provider=bad)
         with pytest.raises(EmbeddingFormatError, match="disagree"):
             evaluate_episodes(episodes, None, head_cfg, ENCODER, provider=bad)
+
+    @pytest.mark.parametrize("source", ["toy", "file"])
+    @pytest.mark.parametrize("head", ["protonet", "nnshot", "mnav", "baseline_no_finetune"])
+    def test_multi_document_queries_line_up(self, multi_doc_queries, tmp_path, head, source):
+        """Each query document is classified on its own rows and scored against its own labels,
+        also next to documents of other lengths and for a one-token document."""
+        episodes = multi_doc_queries
+        params, head_cfg = fresh_params(head)
+        docs = {d.doc_id: d for ep in episodes for d in ep.support + ep.query}
+        assert any(len(d.tokens) == 1 and d.arguments for d in docs.values())
+
+        def embed(doc):
+            return embed_tokens(params.encoder, doc, chunk_document(len(doc.tokens), ENCODER.chunk_length)).rows
+
+        provider = None
+        if source == "file":
+            write_external_embeddings([EmbeddingMatrix(d.doc_id, embed(d)) for d in docs.values()], tmp_path / "emb.fdae")
+            provider = load_external_embeddings(tmp_path / "emb.fdae")
+            embed = provider.rows_of
+        report = evaluate_episodes(episodes, params, head_cfg, ENCODER, provider=provider, seed=5)
+        assert report == reference_report(episodes, params, head_cfg, embed, seed=5)
 
     def test_type_disjointness_between_train_and_test_episodes(self):
         """Roles labeled in test episodes never appear labeled in train episodes."""
