@@ -139,6 +139,8 @@ class RunConfig:
             episode_counts={**defaults.episode_counts, **counts},
             export_episodes=_int_field(data, "export_episodes", defaults.export_episodes),
         )
+        if cfg.export_episodes < 1:  # a slice bound: 0 exports nothing, -5 all but the last 5
+            raise ValueError(f"config field 'export_episodes' must be at least 1, got {cfg.export_episodes!r}")
         sampler_data = _section(data, "sampler")
         train_data = _section(data, "train")
         if overrides.seed is not None:

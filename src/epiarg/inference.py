@@ -30,7 +30,7 @@ from .heads import (
 )
 from .sampler import Episode
 from .seeds import substream
-from .trainer import ModelParams, lower_docs
+from .trainer import ModelParams
 
 # Token rows per stacked encoder forward while encoding a document cache. It bounds the transient
 # gathered-table, window-mean and projected arrays at 1 MB each for d = 64.
@@ -54,20 +54,19 @@ def _batches(docs: Iterable[Document]) -> Iterator[list[Document]]:
 
 class _DocumentRows:
     """Rows of distinct documents, keyed by doc_id: read once from an embedding file, or encoded once
-    under toy-encoder parameters; and the prototype set of each distinct support set.
+    under toy-encoder parameters; and the head's support of each distinct support set.
 
     With an ``EmbeddingProvider``, each document is read and checked to hold one row per token.
     Otherwise the documents are hashed once and encoded in stacked batches (``_batches``). A
     document's rows do not depend on the other rows of its stack, so they equal those of any other
     stacked forward bit for bit. Each document's rows are checked for finiteness once, here. The
-    cache holds one f64 row per token, and one (N+1)-row prototype set per distinct support set.
+    cache holds one f64 row per token, and one support entry per distinct support set.
     """
 
     def __init__(
         self, docs: Iterable[Document], params: ModelParams | None, provider: EmbeddingProvider | None, chunk_length: int
     ):
-        self._chunk_length = chunk_length
-        self._prototypes: dict[tuple, PrototypeSet] = {}
+        self._supports: dict[tuple, PrototypeSet | tuple[np.ndarray, np.ndarray]] = {}
         unique: dict[str, Document] = {}
         for doc in docs:
             seen = unique.setdefault(doc.doc_id, doc)
@@ -95,32 +94,37 @@ class _DocumentRows:
         """Rows of the documents stacked in order."""
         return np.vstack([self._rows[doc.doc_id] for doc in docs])
 
-    def support(self, episode: Episode) -> tuple[np.ndarray, np.ndarray]:
-        """The episode's stacked support rows and IO labels."""
-        _, _, labels = lower_docs(episode.support, episode.active_types, None, self._chunk_length)
-        return self.stacked(episode.support), labels
+    def support(
+        self, episode: Episode, head_cfg: HeadConfig, params: ModelParams | None, seed: int
+    ) -> PrototypeSet | tuple[np.ndarray, np.ndarray]:
+        """What the head's classifier takes as the episode's support: class means for ProtoNet and the
+        baseline; the support rows times ``params.reducer`` with their IO labels for NNShot; class
+        means with K k-means NOTA vectors in place of the O mean for MNAV.
 
-    def prototypes(self, episode: Episode, head_cfg: HeadConfig, seed: int) -> PrototypeSet:
-        """The prototype set the episode's support induces: class means, with K k-means NOTA vectors
-        in place of the O mean for MNAV.
-
-        Class means depend only on the support set, so they are computed once per distinct set, keyed
-        by the active types and each support document's ``doc_id`` and spans (rows are served by
-        ``doc_id``, and IO labels are a function of the spans and the active types). MNAV's NOTA
-        vectors come from k-means seeded by the episode id, so MNAV builds its set for every episode.
+        Apart from MNAV's, the support depends only on the support set, so it is built once per
+        distinct set, keyed by the active types and each support document's ``doc_id`` and spans
+        (rows are served by ``doc_id``, and IO labels are a function of the spans and the active
+        types). A cache serves one head. MNAV's NOTA vectors come from k-means seeded by the episode
+        id, so MNAV builds its set for every episode.
         """
+        if head_cfg.name == "nnshot" and (params is None or params.reducer is None):
+            raise ValueError("nnshot inference requires reducer parameters")
+        active = episode.active_types
+        key = (active, tuple((doc.doc_id, doc.arguments) for doc in episode.support))
+        if key in self._supports:
+            return self._supports[key]
+        stack = (
+            self.stacked(episode.support),
+            np.concatenate([io_labels(len(doc.tokens), doc.arguments, active) for doc in episode.support]),
+        )
         if head_cfg.name == "mnav":
-            return build_mnav_prototypes(
-                self.support(episode),
-                episode.active_types,
-                head_cfg.kmeans_k,
-                substream(seed, "kmeans", episode.episode_id),
-                head_cfg.kmeans_iters,
-            )
-        key = (episode.active_types, tuple((doc.doc_id, doc.arguments) for doc in episode.support))
-        if key not in self._prototypes:
-            self._prototypes[key] = compute_prototypes(self.support(episode), episode.active_types)
-        return self._prototypes[key]
+            kmeans_seed = substream(seed, "kmeans", episode.episode_id)
+            return build_mnav_prototypes(stack, active, head_cfg.kmeans_k, kmeans_seed, head_cfg.kmeans_iters)
+        if head_cfg.name == "nnshot":
+            self._supports[key] = (stack[0] @ params.reducer, stack[1])
+        else:
+            self._supports[key] = compute_prototypes(stack, active)
+        return self._supports[key]
 
 
 def prototype_sets(
@@ -138,20 +142,8 @@ def prototype_sets(
     read from ``provider``, once, and each distinct support set's class means are computed once.
     """
     rows = _DocumentRows((doc for ep in episodes for doc in ep.support), params, provider, encoder_cfg.chunk_length)
-    return [rows.prototypes(ep, head_cfg, seed) for ep in episodes]
-
-
-def episode_prototypes(
-    episode: Episode,
-    params: ModelParams | None,
-    head_cfg: HeadConfig,
-    encoder_cfg: EncoderConfig,
-    *,
-    provider: EmbeddingProvider | None = None,
-    seed: int = 0,
-) -> PrototypeSet:
-    """Prototype set this episode's support induces (K NOTA vectors for MNAV)."""
-    return prototype_sets([episode], params, head_cfg, encoder_cfg, provider=provider, seed=seed)[0]
+    head_cfg = HeadConfig("protonet") if head_cfg.name == "nnshot" else head_cfg  # NNShot exports its class means
+    return [rows.support(ep, head_cfg, params, seed) for ep in episodes]
 
 
 def run_episode(
@@ -168,8 +160,9 @@ def run_episode(
     Rows come from ``provider`` (an external embedding file, or the document
     cache of ``evaluate_episodes``); without one, the episode's documents are
     encoded under ``params``. Each query document's rows are taken from the
-    cache as they are; prototypes come from the same cache, so a support set it
-    has seen is not lowered or averaged again. Gold spans are viewed through the
+    cache as they are; every head's support comes from the same cache
+    (``_DocumentRows.support``), so a support set it has seen is not stacked,
+    averaged or reduced again, except MNAV's. Gold spans are viewed through the
     heads' integer IO labels so predictions and references use the same
     notation (adjacent same-role gold spans merge).
     """
@@ -178,19 +171,12 @@ def run_episode(
         rows = _DocumentRows(episode.support + episode.query, params, provider, encoder_cfg.chunk_length)
     query = [rows.rows_of(doc) for doc in episode.query]
     active = episode.active_types
-
-    if head_cfg.name in ("protonet", "baseline_no_finetune", "mnav"):
-        protos = rows.prototypes(episode, head_cfg, seed)
-        classify = mnav_classify if head_cfg.name == "mnav" else protonet_classify
-        assignments = [classify(protos, mat) for mat in query]
-    elif head_cfg.name == "nnshot":
-        if params is None or params.reducer is None:
-            raise ValueError("nnshot inference requires reducer parameters")
-        support_rows, support_labels = rows.support(episode)
-        reduced_support = (support_rows @ params.reducer, support_labels)
-        assignments = [nnshot_classify(reduced_support, mat @ params.reducer, len(active)) for mat in query]
+    support = rows.support(episode, head_cfg, params, seed)
+    if head_cfg.name == "nnshot":
+        assignments = [nnshot_classify(support, mat @ params.reducer, len(active)) for mat in query]
     else:
-        raise ValueError(f"unknown head {head_cfg.name!r}")
+        classify = mnav_classify if head_cfg.name == "mnav" else protonet_classify
+        assignments = [classify(support, mat) for mat in query]
 
     pred_spans, gold_spans = [], []
     tokens = FpFnCounts()

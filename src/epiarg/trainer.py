@@ -150,8 +150,8 @@ class Gradients:
 
 @dataclass
 class EpisodeTensors:
-    """One episode lowered to per-document bucket indices (none without parameters) and chunk
-    plans, and IO labels stacked per side in document order."""
+    """One episode lowered to per-document bucket indices and chunk plans, and IO labels stacked
+    per side in document order."""
 
     support_buckets: list[np.ndarray]
     support_plans: list[ChunkPlan]
@@ -166,25 +166,17 @@ class EpisodeTensors:
         return len(self.active_types)
 
 
-def lower_docs(
-    docs: Sequence[Document], active_types: Sequence[str], params: ModelParams | None, chunk_length: int
-) -> tuple[list[np.ndarray], list[ChunkPlan], np.ndarray]:
-    """One side of an episode lowered: per-document bucket indices (none when ``params=None``) and
-    chunk plans, and IO labels stacked in document order."""
-    buckets, plans, labels = [], [], []
-    for doc in docs:
-        if params is not None:
-            buckets.append(params.encoder.bucket_indices(doc.tokens))
-        plans.append(chunk_document(len(doc.tokens), chunk_length))
-        labels.append(io_labels(len(doc.tokens), doc.arguments, active_types))
-    return buckets, plans, np.concatenate(labels) if labels else np.empty(0, dtype=np.int64)
+def episode_tensors(episode: Episode, params: ModelParams, chunk_length: int) -> EpisodeTensors:
+    """Both sides of an episode lowered: per-document bucket indices and chunk plans, and IO labels
+    stacked in document order."""
+    active = episode.active_types
 
+    def lower(docs: Sequence[Document]) -> tuple[list[np.ndarray], list[ChunkPlan], np.ndarray]:
+        buckets = [params.encoder.bucket_indices(doc.tokens) for doc in docs]
+        plans = [chunk_document(len(doc.tokens), chunk_length) for doc in docs]
+        return buckets, plans, np.concatenate([io_labels(len(doc.tokens), doc.arguments, active) for doc in docs])
 
-def episode_tensors(episode: Episode, params: ModelParams | None, chunk_length: int) -> EpisodeTensors:
-    """Both sides of an episode lowered by ``lower_docs``; ``params=None`` skips hashing."""
-    sb, sp, sl = lower_docs(episode.support, episode.active_types, params, chunk_length)
-    qb, qp, ql = lower_docs(episode.query, episode.active_types, params, chunk_length)
-    return EpisodeTensors(sb, sp, sl, qb, qp, ql, tuple(episode.active_types))
+    return EpisodeTensors(*lower(episode.support), *lower(episode.query), tuple(active))
 
 
 def episode_loss(assignment: TokenAssignment, gold: np.ndarray) -> float:

@@ -236,6 +236,8 @@ class TestErrorPaths:
             ("checkpoint", 7),
             ("episode_counts", {"test": 2.5}),  # not 2 episodes
             ("episode_counts", {"dev": False}),
+            ("export_episodes", -1),  # not all but the last episode
+            ("export_episodes", 0),
         ],
     )
     def test_bad_scalar_is_config_error(self, workspace, capsys, field, value):

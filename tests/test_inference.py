@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from epiarg.heads import (
     nnshot_classify,
     protonet_classify,
 )
-from epiarg.inference import episode_prototypes, evaluate_episodes, prototype_sets, run_episode
+from epiarg.inference import evaluate_episodes, prototype_sets, run_episode
 from epiarg.sampler import SamplerConfig, generate_episode_set
 from epiarg.seeds import substream
 from epiarg.synthetic import separable_corpus, synthetic_corpus
@@ -167,7 +169,7 @@ class TestRunEpisode:
     def test_prototype_export_shapes(self, episode_fixture):
         _, episodes = episode_fixture
         params, head_cfg = fresh_params("mnav")
-        protos = episode_prototypes(episodes[0], params, head_cfg, ENCODER, seed=3)
+        protos = prototype_sets([episodes[0]], params, head_cfg, ENCODER, seed=3)[0]
         assert protos.type_vectors.shape == (3, 8)
         assert protos.nota_vectors.shape == (2, 8)
 
@@ -178,10 +180,18 @@ class TestPrototypeSets:
         params, head_cfg = fresh_params(head)
         sets = prototype_sets(repeated_supports, params, head_cfg, ENCODER, seed=3)
         for episode, protos in zip(repeated_supports, sets, strict=True):
-            alone = episode_prototypes(episode, params, head_cfg, ENCODER, seed=3)
+            alone = prototype_sets([episode], params, head_cfg, ENCODER, seed=3)[0]
             assert protos.active_types == alone.active_types
             assert np.array_equal(protos.type_vectors, alone.type_vectors)
             assert np.array_equal(protos.nota_vectors, alone.nota_vectors)
+
+    def test_nnshot_exports_class_means(self, repeated_supports):
+        """NNShot classifies against support tokens, not prototypes; it exports its support's class means."""
+        params, head_cfg = fresh_params("nnshot")
+        sets = prototype_sets(repeated_supports, params, head_cfg, ENCODER)
+        means = prototype_sets(repeated_supports, params, HeadConfig("protonet"), ENCODER)
+        for protos, expected in zip(sets, means, strict=True):
+            assert np.array_equal(protos.matrix, expected.matrix)
 
     def test_each_support_document_hashed_once(self, repeated_supports, monkeypatch):
         params, head_cfg = fresh_params("protonet")
@@ -277,6 +287,24 @@ class TestEvaluateEpisodes:
         assert first.support == reordered.support and first.active_types != reordered.active_types
         evaluate_episodes([first, reordered], params, head_cfg, ENCODER, seed=4)
         assert calls == [first.active_types, reordered.active_types]
+
+    @pytest.mark.parametrize("head", ["protonet", "baseline_no_finetune", "nnshot", "mnav"])
+    def test_support_stacked_once_per_support_set(self, repeated_supports, monkeypatch, head):
+        """Every head but MNAV stacks the rows of each distinct support set once per call; MNAV, whose
+        NOTA vectors are seeded by the episode id, stacks them for every episode."""
+        params, head_cfg = fresh_params(head)
+        calls = []
+        original = inference._DocumentRows.stacked
+
+        def counting(self, docs):
+            calls.append(docs)
+            return original(self, docs)
+
+        monkeypatch.setattr(inference._DocumentRows, "stacked", counting)
+        evaluate_episodes(repeated_supports, params, head_cfg, ENCODER, seed=4)
+        assert len(distinct_supports(repeated_supports)) < len(repeated_supports)
+        expected = repeated_supports if head == "mnav" else distinct_supports(repeated_supports)
+        assert len(calls) == len(expected)
 
     def test_mnav_prototypes_once_per_episode(self, repeated_supports, monkeypatch):
         """MNAV's NOTA vectors are seeded by the episode id, so no support set shares them."""
@@ -443,3 +471,25 @@ class TestEvaluateEpisodes:
         train_roles = {r for ep in train_eps for r in ep.active_types}
         test_roles = {r for ep in test_eps for r in ep.active_types}
         assert train_roles & test_roles == set()
+
+
+def trainer_imports(source: str) -> list[str]:
+    """Each name ``source`` imports from ``epiarg.trainer``, and the module itself where it is imported whole."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module in ("trainer", "epiarg.trainer"):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "epiarg"):
+            found += [alias.name for alias in node.names if alias.name == "trainer"]
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name == "epiarg.trainer"]
+    return found
+
+
+def test_inference_takes_only_model_params_from_trainer():
+    """Evaluation lowers its episodes itself; training's lowering stays training's."""
+    assert trainer_imports(Path(inference.__file__).read_text(encoding="utf-8")) == ["ModelParams"]
+    # The scan sees each way of importing from the trainer, also inside a function.
+    source = "from .trainer import ModelParams, x\nfrom . import trainer\ndef f():\n    import epiarg.trainer\n"
+    assert trainer_imports(source) == ["ModelParams", "x", "trainer", "epiarg.trainer"]
+    assert trainer_imports("from .heads import io_labels\nfrom . import heads\nimport epiarg.heads") == []

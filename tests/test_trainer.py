@@ -22,7 +22,7 @@ from epiarg.heads import (
     nnshot_classify,
     protonet_classify,
 )
-from epiarg.sampler import SamplerConfig
+from epiarg.sampler import SamplerConfig, generate_episode_set
 from epiarg.seeds import substream
 from epiarg.synthetic import separable_corpus
 from epiarg.trainer import (
@@ -569,12 +569,43 @@ class TestCheckpointFormat:
         save_checkpoint(ckpt, p1)
         loaded = load_checkpoint(p1)
         assert loaded.episode == ckpt.episode
-        assert loaded.history == tuple((e, pytest.approx(f, abs=1e-6)) for e, f in ckpt.history) or loaded.history
+        assert loaded.history == ckpt.history
         assert loaded.params.reducer is not None
         np.testing.assert_allclose(loaded.params.encoder.table, ckpt.params.encoder.table, atol=1e-6)
         p2 = tmp_path / "b.fdck"
         save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_f32_checkpoint_keeps_dev_f1(self, tmp_path, monkeypatch):
+        """On the desk ProtoNet inputs at seed 1, the parameters reloaded from f32 storage reproduce
+        the recorded best dev F1 and every dev query label."""
+        corpus, spec = separable_corpus(1, radius=1)
+        split = compute_split(corpus, spec)
+        sampler_cfg = SamplerConfig(n_ways=3, d_docs=1, seed=1)
+        train_cfg = TrainConfig(episodes=100, learning_rate=1e-2, validate_every=100, seed=1, dev_episodes=20)
+        head_cfg = HeadConfig("protonet")
+        encoder_cfg = EncoderConfig(d_emb=64, d_model=64, radius=1, n_buckets=65536)
+        ckpt = train(split, sampler_cfg, train_cfg, head_cfg, encoder_cfg)
+        save_checkpoint(ckpt, tmp_path / "desk.fdck")
+        loaded = load_checkpoint(tmp_path / "desk.fdck")
+        dev = generate_episode_set(split.dev, sampler_cfg, train_cfg.dev_episodes, label="dev").episodes
+        labels = []
+        original = epiarg.inference.protonet_classify
+
+        def recording(protos, query):
+            assignment = original(protos, query)
+            labels[-1].append(assignment.labels)
+            return assignment
+
+        monkeypatch.setattr(epiarg.inference, "protonet_classify", recording)
+        f1 = {}
+        for name, params in (("trained", ckpt.params), ("loaded", loaded.params)):
+            labels.append([])
+            f1[name] = epiarg.inference.evaluate_episodes(dev, params, head_cfg, encoder_cfg, seed=1).macro_f1
+        assert f1 == {"trained": ckpt.best_f1, "loaded": ckpt.best_f1}
+        assert len(labels[0]) == sum(len(ep.query) for ep in dev)
+        for trained, reloaded in zip(*labels, strict=True):
+            assert np.array_equal(trained, reloaded)
 
     def test_truncated_file_is_reported(self, tmp_path):
         split_corpus, spec = separable_corpus(1, n_event_types=4, docs_per_event=8)
