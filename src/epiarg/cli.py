@@ -272,24 +272,23 @@ def cmd_train(cfg: RunConfig) -> None:
     print(f"trained {cfg.head.name} for {ckpt.episode} episodes; {best}")
 
 
-def _eval_params(cfg: RunConfig, provider_dim: int | None):
-    """Parameters for evaluation: checkpoint when available, otherwise seeded init."""
+def _eval_model(cfg: RunConfig):
+    """Parameters (the checkpoint when available, otherwise a seeded init) and the embedding file, if any.
+
+    Callers encode with ``params.encoder.config``: a checkpoint keeps the encoder config it was trained with.
+    """
+    provider = None if cfg.embedding_source == "toy" else load_external_embeddings(cfg.embedding_source)
     ckpt_path = Path(cfg.checkpoint) if cfg.checkpoint else cfg.out / "checkpoint.fdck"
     if cfg.head.name != "baseline_no_finetune" and ckpt_path.exists():
-        return load_checkpoint(ckpt_path).params
-    encoder_cfg = cfg.encoder
-    if provider_dim is not None and provider_dim != encoder_cfg.d_model:
-        encoder_cfg = replace(encoder_cfg, d_model=provider_dim)
-    return initialize_params(encoder_cfg, cfg.head, substream(cfg.seed, "init"))
+        return load_checkpoint(ckpt_path).params, provider
+    encoder_cfg = cfg.encoder if provider is None else replace(cfg.encoder, d_model=provider.d_model)
+    return initialize_params(encoder_cfg, cfg.head, substream(cfg.seed, "init")), provider
 
 
 def cmd_eval(cfg: RunConfig) -> None:
     episodes = read_episodes(cfg.out / "episodes_test.jsonl")
-    provider = None
-    if cfg.embedding_source != "toy":
-        provider = load_external_embeddings(cfg.embedding_source)
-    params = _eval_params(cfg, provider.d_model if provider else None)
-    report = evaluate_episodes(episodes, params, cfg.head, cfg.encoder, provider=provider, seed=cfg.seed)
+    params, provider = _eval_model(cfg)
+    report = evaluate_episodes(episodes, params, cfg.head, params.encoder.config, provider=provider, seed=cfg.seed)
     payload = report_json(
         report,
         setting=cfg.sampler.setting,
@@ -324,24 +323,19 @@ def cmd_report(cfg: RunConfig) -> None:
 
 def cmd_export_embeddings(cfg: RunConfig) -> None:
     corpus = parse_corpus(_require(cfg.corpus, "config field 'corpus' is required"))
-    params = _eval_params(cfg, None)
-    matrices = []
-    for doc in corpus:
-        plan = chunk_document(len(doc.tokens), cfg.encoder.chunk_length)
-        matrices.append(embed_tokens(params.encoder, doc, plan))
+    params, _ = _eval_model(replace(cfg, embedding_source="toy"))  # exports the toy encoder's rows
+    chunk_length = params.encoder.config.chunk_length
+    matrices = (embed_tokens(params.encoder, doc, chunk_document(len(doc.tokens), chunk_length)) for doc in corpus)
     out_path = cfg.out / "embeddings.fdae"
     write_external_embeddings(matrices, out_path)
-    _write_json(cfg.stamp({"command": "export-embeddings", "docs": len(matrices)}), cfg.out / "embeddings.meta.json")
-    print(f"wrote {len(matrices)} embedding matrices to {out_path}")
+    _write_json(cfg.stamp({"command": "export-embeddings", "docs": len(corpus)}), cfg.out / "embeddings.meta.json")
+    print(f"wrote {len(corpus)} embedding matrices to {out_path}")
 
 
 def cmd_export_prototypes(cfg: RunConfig) -> None:
     episodes = read_episodes(cfg.out / "episodes_test.jsonl")[: cfg.export_episodes]
-    provider = None
-    if cfg.embedding_source != "toy":
-        provider = load_external_embeddings(cfg.embedding_source)
-    params = _eval_params(cfg, provider.d_model if provider else None)
-    protosets = prototype_sets(episodes, params, cfg.head, cfg.encoder, provider=provider, seed=cfg.seed)
+    params, provider = _eval_model(cfg)
+    protosets = prototype_sets(episodes, params, cfg.head, params.encoder.config, provider=provider, seed=cfg.seed)
     out_path = cfg.out / "prototypes.csv"
     write_prototypes_csv(protosets, out_path)
     _write_json(

@@ -186,27 +186,27 @@ def write_external_embeddings(
     row-major. A plain-text ``<path>.idx`` maps doc_id to byte offset.
 
     Both files are written through ``atomic_write``, so a failure leaves the previous file and index.
+    Each matrix is written as it arrives; the header's dimension and count go in once all are written.
     """
-    matrices = list(matrices)
-    if not matrices:
-        raise ValueError("no matrices to write")
-    d_model = matrices[0].rows.shape[1]
-    offsets: list[tuple[str, int]] = []
+    d_model, count = None, 0
     with atomic_write(str(path) + ".idx") as idx, atomic_write(path, "wb") as handle:
-        handle.write(_MAGIC)
-        handle.write(struct.pack("<II", _VERSION, d_model))
-        handle.write(struct.pack("<Q", len(matrices)))
+        handle.write(_MAGIC + bytes(16))  # version, d_model and count follow the last matrix
         for mat in matrices:
-            if mat.rows.shape[1] != d_model:
+            if d_model is None:
+                d_model = mat.rows.shape[1]
+            elif mat.rows.shape[1] != d_model:
                 raise ValueError(f"matrix {mat.doc_id!r} has dim {mat.rows.shape[1]}, expected {d_model}")
-            offsets.append((mat.doc_id, handle.tell()))
+            idx.write(f"{mat.doc_id}\t{handle.tell()}\n")
             encoded = mat.doc_id.encode("utf-8")
             handle.write(struct.pack("<I", len(encoded)))
             handle.write(encoded)
             handle.write(struct.pack("<Q", mat.rows.shape[0]))
             handle.write(np.ascontiguousarray(mat.rows, dtype="<f4").tobytes())
-        for doc_id, offset in offsets:
-            idx.write(f"{doc_id}\t{offset}\n")
+            count += 1
+        if d_model is None:
+            raise ValueError("no matrices to write")
+        handle.seek(len(_MAGIC))
+        handle.write(struct.pack("<IIQ", _VERSION, d_model, count))
 
 
 class EmbeddingProvider:

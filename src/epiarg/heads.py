@@ -25,8 +25,9 @@ from .record import Record
 
 _QUERY_BLOCK = 256
 # Working memory `nearest_per_class` may hold beyond its (T, n_classes) outputs, the
-# class-sorted support copy included, for all its threads together. On 1600-row supports
-# 2-8 MiB ran equally fast, and at 32 MiB the lanes outgrow the cache and it slows down.
+# class-sorted support copy included, for all its threads together, down to one query row a block
+# (about 5200 support rows at d = 32 on 2 threads). On 800 query x 1600 support rows at d = 32 and
+# 2 threads, 4-32 MiB ran equally fast and 1-2 MiB about 10 % slower.
 _L1_BLOCK_BYTES = 4 << 20
 # Query rows x support rows x dimensions below which `nearest_per_class` runs on the calling
 # thread alone: starting and joining the threads costs more than smaller kernels save.
@@ -164,52 +165,11 @@ def protonet_classify(protos: PrototypeSet, query: np.ndarray) -> TokenAssignmen
 mnav_classify = protonet_classify
 
 
-def _l1_lane_arrays(d: int) -> int:
-    """How many (block, support) arrays ``_pairwise_l1`` holds at once for ``d`` dimensions."""
-    if d < 8:
-        return 2
-    if d <= 128:
-        return 9
-    half = d // 2
-    return 1 + _l1_lane_arrays(d - (half - half % 8))
-
-
-def _pairwise_l1(q_t: np.ndarray, s_t: np.ndarray, lo: int, n: int, tmp: np.ndarray) -> np.ndarray:
-    """Sum of |q - s| over dimensions lo..lo+n, added in the order of numpy's pairwise sum.
-
-    ``q_t`` is (d, B) and ``s_t`` is (d, S); the result is (B, S). Numpy sums a
-    contiguous row of fewer than 8 values sequentially, up to 128 values in 8
-    lanes combined as ((0+1)+(2+3))+((4+5)+(6+7)) with the remainder added
-    last, and longer rows by halves; following the same order one dimension
-    at a time gives the same bits as ``np.abs(q[:, None] - s[None]).sum(axis=2)``.
-    """
-
-    def term(j: int, out: np.ndarray) -> np.ndarray:
-        np.subtract.outer(q_t[j], s_t[j], out=out)
-        return np.abs(out, out=out)
-
-    shape = (q_t.shape[1], s_t.shape[1])
-    if n < 8:
-        total = term(lo, np.empty(shape))
-        for j in range(lo + 1, lo + n):
-            total += term(j, tmp)
-        return total
-    if n <= 128:
-        lanes = [term(lo + j, np.empty(shape)) for j in range(8)]
-        stop = lo + n - n % 8
-        for i in range(lo + 8, stop, 8):
-            for j in range(8):
-                lanes[j] += term(i + j, tmp)
-        for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
-            lanes[a] += lanes[b]
-        for j in range(stop, lo + n):
-            lanes[0] += term(j, tmp)
-        return lanes[0]
-    half = n // 2
-    half -= half % 8
-    total = _pairwise_l1(q_t, s_t, lo, half, tmp)
-    total += _pairwise_l1(q_t, s_t, lo + half, n - half, tmp)
-    return total
+def _pairwise_l1(query_block: np.ndarray, support: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """(B, S) L1 distances by numpy's own ``np.abs(q[:, None] - s[None]).sum(axis=2)``, in ``buf`` (B, S, d)."""
+    np.subtract(query_block[:, None, :], support[None, :, :], out=buf)
+    np.abs(buf, out=buf)
+    return buf.sum(axis=2)
 
 
 def _usable_cpus() -> int:
@@ -226,13 +186,16 @@ def nearest_per_class(
     """Per query token and class: the least L1 distance to a row of that class, and that row's index.
 
     Returns two (T, n_classes) arrays. Ties go to the lowest row index; a class
-    with no rows gets +inf and -1. Distances are bit-identical to numpy's
-    ``np.abs(q[:, None] - rows[None]).sum(axis=2)``. Query rows go in blocks sized
-    so the working arrays of all threads together stay within ``_L1_BLOCK_BYTES``
-    (at least one row a block). From ``_L1_THREAD_MIN_WORK`` on, each usable CPU
-    takes one contiguous range of query rows, the calling thread the first; numpy's
-    element-wise loops release the interpreter lock, and every row is computed by
-    the same operations whichever thread runs it.
+    with no rows gets +inf and -1. Each block of query rows computes numpy's own
+    ``np.abs(q[:, None] - rows[None]).sum(axis=2)``, so the distances are its bits.
+    Blocks are sized so the working arrays of all threads together stay within
+    ``_L1_BLOCK_BYTES``, at least one row a block: a row takes 8 * S * (d + 2)
+    bytes per thread, so 4 MiB holds about 5200 support rows at d = 32 on 2
+    threads, and beyond that each thread still takes one row a block. From
+    ``_L1_THREAD_MIN_WORK`` on, each usable CPU takes one contiguous range of query
+    rows, the calling thread the first; numpy's element-wise loops release the
+    interpreter lock, and every row is computed by the same operations whichever
+    thread runs it.
     """
     n_query = query.shape[0]
     dmin = np.full((n_query, n_classes), np.inf)
@@ -240,19 +203,18 @@ def nearest_per_class(
     order = np.argsort(labels, kind="stable")  # each class contiguous, original order within it
     bounds = np.searchsorted(labels[order], np.arange(n_classes + 1))
     members = [(c, bounds[c], bounds[c + 1]) for c in range(n_classes) if bounds[c + 1] > bounds[c]]
-    s_t = rows.T[:, order].copy()  # (d, S) in class order
+    support = rows[order]  # (S, d) in class order
     n_rows, d = rows.shape
     threads = min(_usable_cpus(), n_query) if n_query * n_rows * d >= _L1_THREAD_MIN_WORK else 1
-    row_bytes = 8 * n_rows * (_l1_lane_arrays(d) + 1)
-    fixed = s_t.nbytes + order.nbytes + threads * (256 << 10)  # the sorted support, numpy's broadcast buffers
-    block = max(1, (_L1_BLOCK_BYTES - fixed) // (threads * row_bytes))
+    # A query row takes S * d differences and S sums in each thread, plus S more: the previous block's
+    # sums live until the next block's replace them, and argmin copies the slice of one class.
+    block = max(1, (_L1_BLOCK_BYTES - support.nbytes - order.nbytes) // (threads * 8 * n_rows * (d + 2)))
 
     def share(first: int, stop: int) -> None:
-        tmp = np.empty((min(block, stop - first), n_rows))
+        buf = np.empty((min(block, stop - first), n_rows, d))
         for start in range(first, stop, block):
             end = min(start + block, stop)
-            q_t = query[start:end].T.copy()
-            dist = _pairwise_l1(q_t, s_t, 0, d, tmp[: end - start])
+            dist = _pairwise_l1(query[start:end], support, buf[: end - start])
             span = np.arange(end - start)
             for c, lo, hi in members:
                 best = lo + dist[:, lo:hi].argmin(axis=1)

@@ -116,6 +116,27 @@ class TestWorkflow:
         assert run(config_path, "train") == 0
         assert capsys.readouterr().out == "trained protonet for 0 episodes; no dev validation ran\n"
 
+    def test_trained_model_encodes_with_its_own_encoder_config(self, workspace):
+        """eval and both exports chunk documents as the checkpoint was trained, whatever the run config says."""
+        tmp_path, config_path, config = workspace
+        out = tmp_path / "out"
+        commands = ("eval", "export-embeddings", "export-prototypes")
+        for command in ("split", "sample", "train", *commands):
+            assert run(config_path, command) == 0
+
+        def outputs():
+            report = json.loads((out / "report_protonet_3w1d.json").read_text())
+            del report["config"]  # the run config is stamped as given
+            names = ("embeddings.fdae", "embeddings.fdae.idx", "prototypes.csv")
+            return report, [(out / name).read_bytes() for name in names]
+
+        trained = outputs()
+        config["encoder"]["chunk_length"] = 2  # the checkpoint was trained with 64
+        config_path.write_text(json.dumps(config))
+        for command in commands:
+            assert run(config_path, command) == 0
+        assert outputs() == trained
+
     def test_eval_without_training_is_fine(self, workspace):
         tmp_path, config_path, _ = workspace
         assert run(config_path, "split") == 0

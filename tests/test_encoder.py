@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,30 @@ class TestExternalEmbeddings:
         provider = load_external_embeddings(path)
         for mat in mats:
             np.testing.assert_array_equal(provider.get(mat.doc_id).rows, mat.rows)
+
+    def test_writer_holds_a_few_matrices_at_a_time(self, tmp_path):
+        """The writer consumes its input as it writes, so a generator's matrices are never all held at once."""
+        rows = np.random.default_rng(13).normal(size=(100, 32))
+        path = tmp_path / "emb.fdae"
+        tracemalloc.start()
+        try:
+            write_external_embeddings((EmbeddingMatrix(f"doc{i}", rows + i) for i in range(200)), path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * rows.nbytes
+        provider = load_external_embeddings(path)
+        np.testing.assert_array_equal(provider.get("doc199").rows, (rows + 199).astype(np.float32))
+        assert len((tmp_path / "emb.fdae.idx").read_text().splitlines()) == 200
+
+    def test_empty_input_keeps_previous_files(self, tmp_path):
+        path = tmp_path / "emb.fdae"
+        write_external_embeddings(self._matrices(np.random.default_rng(14)), path)
+        before = [path.read_bytes(), (tmp_path / "emb.fdae.idx").read_bytes()]
+        with pytest.raises(ValueError, match="no matrices to write"):
+            write_external_embeddings(iter(()), path)
+        assert [path.read_bytes(), (tmp_path / "emb.fdae.idx").read_bytes()] == before
+        assert not list(tmp_path.glob(".*.tmp"))
 
     def test_missing_doc_errors(self, tmp_path):
         rng = np.random.default_rng(8)

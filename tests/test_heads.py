@@ -183,10 +183,10 @@ def broadcast_nearest_per_class(query, rows, labels, n_classes):
 
 
 class TestL1Kernel:
-    """``nearest_per_class`` adds in numpy's pairwise order, so it must match numpy bit for bit."""
+    """``nearest_per_class`` computes numpy's broadcast L1 sum per query block, so it must match numpy bit for bit."""
 
     @pytest.mark.parametrize("budget", ["module", 0])  # 0 forces one query row per block
-    @pytest.mark.parametrize("d", [3, 8, 13, 32, 64, 100])
+    @pytest.mark.parametrize("d", [3, 8, 13, 32, 64, 100, 129, 200])
     def test_bit_identical_to_broadcast_sum(self, d, budget, monkeypatch):
         if budget != "module":
             monkeypatch.setattr(heads, "_L1_BLOCK_BYTES", budget)
@@ -195,7 +195,9 @@ class TestL1Kernel:
         rows = rng.normal(size=(300, d)) * scales
         rows[:40] = np.round(rows[:40])  # whole numbers give exact ties
         labels = rng.integers(0, 4, size=300)  # class 4 is absent
-        query = rng.normal(size=(401, d)) * scales  # 401 is prime: no block size divides it
+        # 401 and 61 are prime: no block size divides them. Above 128 dimensions numpy sums each
+        # row in halves; 61 query rows keep the reference tensor within about 16 MB there.
+        query = rng.normal(size=(401 if d <= 128 else 61, d)) * scales
         query[:50] = rows[:50]  # zero distances and exact ties
         dmin, umin = nearest_per_class(query, rows, labels, 5)
         ref_d, ref_u = broadcast_nearest_per_class(query, rows, labels, 5)
@@ -272,11 +274,13 @@ class TestL1Kernel:
             nearest_per_class(rng.normal(size=(10, 8)), rng.normal(size=(20, 8)), rng.integers(0, 2, size=20), 2)
         assert threading.active_count() == before
 
-    def test_working_memory_within_budget(self):
+    @pytest.mark.parametrize("d", [8, 32, 64])
+    def test_working_memory_within_budget(self, d, monkeypatch, cpus=1):
+        monkeypatch.setattr(heads, "_usable_cpus", lambda: cpus)
         rng = np.random.default_rng(4)
-        rows = rng.normal(size=(2000, 32))
+        rows = rng.normal(size=(2000, d))
         labels = rng.integers(0, 4, size=2000)
-        query = rng.normal(size=(300, 32))
+        query = rng.normal(size=(300, d))
         tracemalloc.start()
         try:
             dmin, umin = nearest_per_class(query, rows, labels, 4)
@@ -285,9 +289,9 @@ class TestL1Kernel:
             tracemalloc.stop()
         assert peak <= heads._L1_BLOCK_BYTES + dmin.nbytes + umin.nbytes
 
-    def test_threads_share_one_memory_budget(self, monkeypatch):
-        monkeypatch.setattr(heads, "_usable_cpus", lambda: 2)
-        self.test_working_memory_within_budget()
+    @pytest.mark.parametrize("d", [8, 32, 64])
+    def test_threads_share_one_memory_budget(self, d, monkeypatch):
+        self.test_working_memory_within_budget(d, monkeypatch, cpus=2)
 
 
 def broadcast_kmeans(points, k, seed, max_iters=100):
