@@ -41,7 +41,7 @@ from .encoder import (
 )
 from .evaluation import render_results_table, report_json
 from .files import atomic_write
-from .heads import EmptyClassError, HeadConfig, write_prototypes_csv
+from .heads import HEAD_NAMES, EmptyClassError, HeadConfig, write_prototypes_csv
 from .inference import evaluate_episodes, prototype_sets
 from .sampler import (
     InfeasibleSamplingError,
@@ -369,8 +369,7 @@ def _parse_args(argv):
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--n-ways", type=int, default=None, dest="n_ways")
         p.add_argument("--d-docs", type=int, default=None, dest="d_docs")
-        p.add_argument("--head", type=str, default=None,
-                       choices=["baseline_no_finetune", "protonet", "nnshot", "mnav"])
+        p.add_argument("--head", type=str, default=None, choices=HEAD_NAMES)
         p.add_argument("--split", type=str, default=None)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--episodes", type=int, default=None)

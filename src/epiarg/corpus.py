@@ -16,7 +16,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .files import atomic_write
 from .record import Record
@@ -226,7 +226,13 @@ def span_from_chars(char_start: int, char_end: int, token_offsets: Sequence[tupl
 
 
 def document_from_record(record: dict, line: int | None = None) -> Document:
-    """Build a validated Document from one parsed JSON record."""
+    """Build a validated Document from one parsed JSON record.
+
+    The record must be an object; ``doc_id``, ``title``, ``event_type`` and each role must be
+    strings, ``arguments`` a list, and each offset a JSON integer (not a boolean, fraction or string).
+    """
+    if not isinstance(record, dict):
+        raise CorpusFormatError(f"a document must be a JSON object, got {record!r}", line)
     try:
         doc_id = record["doc_id"]
         title = record.get("title", "")
@@ -235,14 +241,24 @@ def document_from_record(record: dict, line: int | None = None) -> Document:
         raw_args = record["arguments"]
     except KeyError as exc:
         raise CorpusFormatError(f"missing field {exc.args[0]!r}", line) from exc
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+    for name, value in (("doc_id", doc_id), ("title", title), ("event_type", event_type)):
+        if not isinstance(value, str):
+            raise CorpusFormatError(f"field {name!r} must be a string, got {value!r}", line)
+    if not isinstance(tokens, list) or not set(map(type, tokens)) <= {str}:  # map runs in C, unlike a generator
         raise CorpusFormatError(f"document {doc_id!r}: tokens must be a list of strings", line)
+    if not isinstance(raw_args, list):
+        raise CorpusFormatError(f"document {doc_id!r}: arguments must be a list, got {raw_args!r}", line)
     spans = []
     for raw in raw_args:
+        if not (
+            isinstance(raw, dict)
+            and type(raw.get("start")) is int  # a JSON integer: bool is a subclass of int
+            and type(raw.get("end")) is int
+            and isinstance(raw.get("role"), str)
+        ):
+            raise CorpusFormatError(f"document {doc_id!r}: malformed argument record {raw!r}", line)
         try:
-            spans.append(ArgumentSpan(int(raw["start"]), int(raw["end"]), raw["role"]))
-        except (KeyError, TypeError) as exc:
-            raise CorpusFormatError(f"document {doc_id!r}: malformed argument record {raw!r}", line) from exc
+            spans.append(ArgumentSpan(raw["start"], raw["end"], raw["role"]))
         except CorpusFormatError as exc:
             raise CorpusFormatError(f"document {doc_id!r}: {exc}", line) from exc
     try:
@@ -263,24 +279,27 @@ def document_to_record(doc: Document) -> dict:
     }
 
 
+def read_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
+    """Each non-blank line of a JSON-lines file, parsed, with its line number; a line that is not
+    JSON is a ``CorpusFormatError`` naming it."""
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(f"invalid JSON: {exc.msg}", line_no) from exc
+            yield line_no, record
+
+
 def parse_corpus(path: str | Path) -> Corpus:
     """Read a JSON-lines corpus file, rejecting malformed records.
 
     Raises ``CorpusFormatError`` with the offending line number rather than
     repairing anything.
     """
-    docs: list[Document] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"invalid JSON: {exc.msg}", line_no) from exc
-            docs.append(document_from_record(record, line_no))
-    return Corpus(tuple(docs))
+    return Corpus(tuple(document_from_record(record, line_no) for line_no, record in read_json_lines(path)))
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:

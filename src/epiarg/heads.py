@@ -23,6 +23,8 @@ import numpy as np
 from .files import atomic_write
 from .record import Record
 
+HEAD_NAMES = ("baseline_no_finetune", "protonet", "nnshot", "mnav")
+
 _QUERY_BLOCK = 256
 # Working memory `nearest_per_class` may hold beyond its (T, n_classes) outputs, the
 # class-sorted support copy included, for all its threads together, down to one query row a block
@@ -46,7 +48,7 @@ class HeadConfig(Record):
     kmeans_iters: int = 100
 
     def __post_init__(self):
-        if self.name not in ("baseline_no_finetune", "protonet", "nnshot", "mnav"):
+        if self.name not in HEAD_NAMES:
             raise ValueError(f"unknown head {self.name!r}")
         if not (1 <= self.kmeans_k <= 16):
             raise ValueError(f"kmeans_k must be in [1, 16], got {self.kmeans_k}")

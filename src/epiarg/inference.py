@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import Document
-from .encoder import EmbeddingProvider, EncoderConfig, chunk_document, encode_docs
+from .encoder import EmbeddingProvider, EncoderConfig, chunk_document, embed_tokens
 from .evaluation import (
     EvalReport,
     FpFnCounts,
@@ -32,35 +31,15 @@ from .sampler import Episode
 from .seeds import substream
 from .trainer import ModelParams
 
-# Token rows per stacked encoder forward while encoding a document cache. It bounds the transient
-# gathered-table, window-mean and projected arrays at 1 MB each for d = 64.
-_ENCODE_BATCH_ROWS = 2048
-
-
-def _batches(docs: Iterable[Document]) -> Iterator[list[Document]]:
-    """Runs of consecutive documents of at most ``_ENCODE_BATCH_ROWS`` rows; a longer document makes a
-    run of its own."""
-    batch: list[Document] = []
-    n_rows = 0
-    for doc in docs:
-        if batch and n_rows + len(doc.tokens) > _ENCODE_BATCH_ROWS:
-            yield batch
-            batch, n_rows = [], 0
-        batch.append(doc)
-        n_rows += len(doc.tokens)
-    if batch:
-        yield batch
-
-
 class _DocumentRows:
     """Rows of distinct documents, keyed by doc_id: read once from an embedding file, or encoded once
     under toy-encoder parameters; and the head's support of each distinct support set.
 
     With an ``EmbeddingProvider``, each document is read and checked to hold one row per token.
-    Otherwise the documents are hashed once and encoded in stacked batches (``_batches``). A
-    document's rows do not depend on the other rows of its stack, so they equal those of any other
-    stacked forward bit for bit. Each document's rows are checked for finiteness once, here. The
-    cache holds one f64 row per token, and one support entry per distinct support set.
+    Otherwise each document is encoded alone with ``embed_tokens``; a document's rows do not depend
+    on the other rows of a stack, so they equal those of any stacked forward bit for bit. Either way
+    the rows pass through ``EmbeddingMatrix``, which rejects non-finite entries. The cache holds one
+    f64 row per token, and one support entry per distinct support set.
     """
 
     def __init__(
@@ -73,18 +52,14 @@ class _DocumentRows:
             if seen.tokens is not doc.tokens and seen.tokens != doc.tokens:  # sampled episodes share the tuple
                 raise ValueError(f"two documents with doc_id {doc.doc_id!r} have different tokens")
         if provider is not None:
-            self._rows = {doc_id: provider.rows_of(doc) for doc_id, doc in unique.items()}
-            return
-        assert params is not None, "either toy parameters or an embedding provider is required"
-        self._rows = {}
-        for batch in _batches(unique.values()):
-            plans = [chunk_document(len(doc.tokens), chunk_length) for doc in batch]
-            rows, _ = encode_docs(params.encoder, [params.encoder.bucket_indices(doc.tokens) for doc in batch], plans)
-            ends = list(accumulate(plan.num_tokens for plan in plans))
-            for doc, start, end in zip(batch, [0] + ends, ends):
-                if not np.all(np.isfinite(rows[start:end])):
-                    raise ValueError(f"doc {doc.doc_id!r}: embeddings contain non-finite entries")
-                self._rows[doc.doc_id] = rows[start:end]
+            rows_for = provider.rows_of
+        else:
+            assert params is not None, "either toy parameters or an embedding provider is required"
+
+            def rows_for(doc: Document) -> np.ndarray:
+                return embed_tokens(params.encoder, doc, chunk_document(len(doc.tokens), chunk_length)).rows
+
+        self._rows = {doc_id: rows_for(doc) for doc_id, doc in unique.items()}
 
     def rows_of(self, doc: Document) -> np.ndarray:
         """One document's rows."""

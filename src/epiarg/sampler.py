@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Document, document_from_record, document_to_record
+from .corpus import Corpus, CorpusFormatError, Document, document_from_record, document_to_record, read_json_lines
 from .files import atomic_write
 from .record import Record
 from .seeds import substream
@@ -342,19 +342,21 @@ def write_episodes(episodes: EpisodeSet | Sequence[Episode], path: str | Path) -
 
 
 def read_episodes(path: str | Path) -> list[Episode]:
+    """Read episodes written by ``write_episodes``; a malformed line is a ``CorpusFormatError`` naming it."""
     episodes = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            episodes.append(
-                Episode(
-                    episode_id=record["episode_id"],
-                    active_types=tuple(record["active_types"]),
-                    support=tuple(document_from_record(r) for r in record["support"]),
-                    query=tuple(document_from_record(r) for r in record["query"]),
-                )
-            )
+    for line_no, record in read_json_lines(path):
+        if not isinstance(record, dict):
+            raise CorpusFormatError(f"an episode must be a JSON object, got {record!r}", line_no)
+        for name, valid, kind in (
+            ("episode_id", lambda v: type(v) is int, "an integer"),  # bool is a subclass of int
+            ("active_types", lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v), "a list of strings"),
+            ("support", lambda v: isinstance(v, list), "a list of documents"),
+            ("query", lambda v: isinstance(v, list), "a list of documents"),
+        ):
+            if name not in record:
+                raise CorpusFormatError(f"missing field {name!r}", line_no)
+            if not valid(record[name]):
+                raise CorpusFormatError(f"{name} must be {kind}, got {record[name]!r}", line_no)
+        support, query = (tuple(document_from_record(r, line_no) for r in record[side]) for side in ("support", "query"))
+        episodes.append(Episode(record["episode_id"], tuple(record["active_types"]), support, query))
     return episodes

@@ -237,12 +237,15 @@ def forward_backward(
     backward maths lives here. For MNAV the NOTA centroids are recomputed by
     k-means inside the forward pass (or taken from ``fixed_nota``) and treated
     as constants: gradients flow through the type prototypes and the query
-    embeddings only.
+    embeddings only. The support documents, then the query documents, go
+    through one stacked encoder forward and one encoder backward.
     """
     grads = out if out is not None else Gradients.zeros_like(params)
     n = tensors.n_types
-    h_support, mixed_s = encode_docs(params.encoder, tensors.support_buckets, tensors.support_plans)
-    h_query, mixed_q = encode_docs(params.encoder, tensors.query_buckets, tensors.query_plans)
+    buckets = tensors.support_buckets + tensors.query_buckets
+    plans = tensors.support_plans + tensors.query_plans
+    hidden, mixed = encode_docs(params.encoder, buckets, plans)
+    h_support, h_query = np.split(hidden, [tensors.support_labels.shape[0]])
     support_labels, gold = tensors.support_labels, tensors.query_labels
     counts = class_counts(support_labels, tensors.active_types)
 
@@ -293,8 +296,7 @@ def forward_backward(
 
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite loss {loss!r}")
-    _encoder_backward(params, tensors.support_buckets, tensors.support_plans, mixed_s, d_hs, grads)
-    _encoder_backward(params, tensors.query_buckets, tensors.query_plans, mixed_q, d_hq, grads)
+    _encoder_backward(params, buckets, plans, mixed, np.vstack([d_hs, d_hq]), grads)
     return loss, grads
 
 

@@ -311,6 +311,17 @@ class TestErrorPaths:
         assert err.startswith("error code=2 kind=config:")
         assert "\n" not in err.strip()
 
+    @pytest.mark.parametrize("command, name", [("ingest", "corpus.jsonl"), ("eval", "out/episodes_test.jsonl")])
+    def test_malformed_line_is_config_error_naming_it(self, workspace, capsys, command, name):
+        """A list where a corpus document or an episode belongs ends the command with ``code=2`` and
+        the line number, not a traceback."""
+        tmp_path, config_path, _ = workspace
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_text("\n[1, 2]\n")
+        assert run(config_path, command) == 2
+        assert capsys.readouterr().err.startswith("error code=2 kind=config: line 2: ")
+
     def test_retired_workers_option(self, workspace, capsys):
         """``--workers`` is no option of any command; a config file that still sets ``workers`` loads,
         and the config its outputs carry has no such key."""

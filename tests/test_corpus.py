@@ -76,6 +76,33 @@ class TestParsing:
         with pytest.raises(CorpusFormatError, match="line 1"):
             parse_corpus(path)
 
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            ("[1, 2]", "must be a JSON object"),
+            ({"doc_id": 5}, "field 'doc_id' must be a string"),
+            ({"title": ["t"]}, "field 'title' must be a string"),
+            ({"event_type": None}, "field 'event_type' must be a string"),
+            ({"arguments": 5}, "arguments must be a list"),
+            ({"arguments": [{"start": 0, "end": 1, "role": 7}]}, "malformed argument record"),
+            ({"arguments": [{"start": True, "end": 2, "role": "R"}]}, "malformed argument record"),
+            ({"arguments": [{"start": 0, "end": 2.7, "role": "R"}]}, "malformed argument record"),
+            ({"arguments": [{"start": 0.9, "end": 2, "role": "R"}]}, "malformed argument record"),
+            ({"arguments": [{"start": "0", "end": 2, "role": "R"}]}, "malformed argument record"),
+        ],
+        ids=["list", "doc_id-int", "title-list", "event_type-null", "arguments-int", "role-int", "start-true",
+             "end-fraction", "start-fraction", "start-str"],
+    )
+    def test_malformed_record_rejected_with_line_number(self, tmp_path, line, match):
+        """A record of the wrong JSON shape or with a field of the wrong JSON type is an error naming
+        its line, not a traceback or a silently coerced document."""
+        good = {"doc_id": "d1", "title": "x", "event_type": "e", "tokens": ["a", "b", "c"], "arguments": []}
+        bad = line if isinstance(line, str) else json.dumps({**good, "doc_id": "d2", **line})
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + bad + "\n")
+        with pytest.raises(CorpusFormatError, match=f"^line 2: .*{match}"):
+            parse_corpus(path)
+
     def test_overlapping_spans_rejected(self):
         with pytest.raises(CorpusFormatError, match="overlap"):
             make_doc("d1", "e", [(0, 3, "A"), (2, 5, "B")])

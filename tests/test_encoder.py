@@ -21,7 +21,6 @@ from epiarg.encoder import (
     window_means_backward,
     write_external_embeddings,
 )
-from epiarg.inference import _ENCODE_BATCH_ROWS
 
 
 def make_doc(doc_id, tokens):
@@ -103,9 +102,9 @@ class TestToyEncoder:
 
     def test_stacked_forward_equals_per_document(self):
         """One forward over documents stacked in order gives each document's ``embed_tokens`` rows bit for
-        bit, also for a stack larger than the evaluation cache's row budget: rows do not depend on the batch.
+        bit, also for a stack of more than 4096 rows: rows do not depend on the batch.
         The one-token document is encoded alone as one row, which numpy would multiply with another kernel."""
-        lengths = (3, 17, 40, 9, 1, 2, _ENCODE_BATCH_ROWS - 5, 700, _ENCODE_BATCH_ROWS + 3)
+        lengths = (3, 17, 40, 9, 1, 2, 2048 - 5, 700, 2048 + 3)
         for d_emb, d_model in ((16, 12), (64, 64)):
             cfg = EncoderConfig(d_emb=d_emb, d_model=d_model, radius=2, n_buckets=64, chunk_length=9)
             rng = np.random.default_rng(6)
@@ -113,7 +112,7 @@ class TestToyEncoder:
             docs = [make_doc(f"d{i}", [f"w{int(rng.integers(40))}" for _ in range(n)]) for i, n in enumerate(lengths)]
             plans = [chunk_document(len(d.tokens), cfg.chunk_length) for d in docs]
             expected = np.vstack([embed_tokens(params, d, plan).rows for d, plan in zip(docs, plans)])
-            assert expected.shape[0] > 2 * _ENCODE_BATCH_ROWS
+            assert expected.shape[0] > 2 * 2048
             rows, mixed = encode_docs(params, [params.bucket_indices(d.tokens) for d in docs], plans)
             assert np.array_equal(rows, expected)
             assert mixed.shape == (sum(lengths), cfg.d_emb)

@@ -250,6 +250,24 @@ class TestEvaluateEpisodes:
         assert len(unique) < sum(len(ep.support) + len(ep.query) for ep in episodes)
         assert sorted(hashed) == sorted(unique.values())
 
+    def test_encodes_each_document_once(self, episode_fixture, monkeypatch):
+        """Each distinct document of the set goes through one ``embed_tokens`` call, made with
+        positional arguments (the benchmark's tracer reads the document as the second)."""
+        _, episodes = episode_fixture
+        params, head_cfg = fresh_params("protonet")
+        calls = []
+
+        def counting(*args, **kwargs):
+            assert not kwargs
+            calls.append(args[1].doc_id)
+            return embed_tokens(*args)
+
+        monkeypatch.setattr(inference, "embed_tokens", counting)
+        evaluate_episodes(episodes, params, head_cfg, ENCODER, seed=2)
+        distinct = {d.doc_id for ep in episodes for d in ep.support + ep.query}
+        assert len(distinct) < sum(len(ep.support) + len(ep.query) for ep in episodes)
+        assert sorted(calls) == sorted(distinct)
+
     @pytest.mark.parametrize("head", ["protonet", "baseline_no_finetune", "nnshot", "mnav"])
     def test_report_equals_per_episode_runs(self, repeated_supports, head):
         """The cached evaluation reports exactly what standalone ``run_episode`` calls add up to, also
@@ -345,16 +363,12 @@ class TestEvaluateEpisodes:
         with pytest.raises(ValueError, match=f"doc_id {taken.doc_id!r} have different tokens"):
             evaluate_episodes(episodes, params, head_cfg, ENCODER)
 
-    def test_lone_row_batches_match_stacked_forward(self, monkeypatch):
-        """Cached rows equal one stacked forward bit for bit when batch boundaries fall next to
-        one-token documents, also where a batch is one lone row."""
-        monkeypatch.setattr(inference, "_ENCODE_BATCH_ROWS", 8)
+    def test_lone_row_batches_match_stacked_forward(self):
+        """Cached rows equal one stacked forward bit for bit, one-token documents included, which numpy
+        would multiply alone with another kernel."""
         rng = np.random.default_rng(3)
         lengths = (1, 7, 1, 8, 5, 3, 1, 2, 9, 1)
         docs = [Document(f"d{i}", "", "e", tuple(f"w{int(rng.integers(50))}" for _ in range(n)), ()) for i, n in enumerate(lengths)]
-        batches = list(inference._batches(docs))
-        assert [d for batch in batches for d in batch] == docs
-        assert len(batches) > 3 and any(sum(len(d.tokens) for d in batch) == 1 for batch in batches)
         params, _ = fresh_params("protonet")
         plans = [chunk_document(n, ENCODER.chunk_length) for n in lengths]
         expected, _ = encode_docs(params.encoder, [params.encoder.bucket_indices(d.tokens) for d in docs], plans)
@@ -493,3 +507,12 @@ def test_inference_takes_only_model_params_from_trainer():
     source = "from .trainer import ModelParams, x\nfrom . import trainer\ndef f():\n    import epiarg.trainer\n"
     assert trainer_imports(source) == ["ModelParams", "x", "trainer", "epiarg.trainer"]
     assert trainer_imports("from .heads import io_labels\nfrom . import heads\nimport epiarg.heads") == []
+
+
+def test_inference_encodes_with_embed_tokens_only():
+    """Evaluation encodes each document with ``embed_tokens``; the stacked forward is training's."""
+    tree = ast.parse(Path(inference.__file__).read_text(encoding="utf-8"))
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "embed_tokens" in names
+    assert "encode_docs" not in names

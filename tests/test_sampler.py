@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from epiarg.corpus import ArgumentSpan, Corpus, Document
+from epiarg.corpus import ArgumentSpan, Corpus, CorpusFormatError, Document
 from epiarg.sampler import (
     Episode,
     InfeasibleSamplingError,
@@ -149,6 +150,38 @@ class TestGenerateEpisodeSet:
         write_episodes(episodes, path)
         again = read_episodes(path)
         assert tuple(again) == episodes.episodes
+
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda r: [1, 2], "an episode must be a JSON object"),
+            (lambda r: '{"episode_id": ', "invalid JSON"),
+            *[(lambda r, k=key: {n: v for n, v in r.items() if n != k}, f"missing field '{key}'")
+              for key in ("episode_id", "active_types", "support", "query")],
+            (lambda r: {**r, "episode_id": True}, "episode_id must be an integer"),
+            (lambda r: {**r, "episode_id": [1]}, "episode_id must be an integer"),
+            (lambda r: {**r, "active_types": "Place"}, "active_types must be a list of strings"),
+            (lambda r: {**r, "active_types": ["Place", 3]}, "active_types must be a list of strings"),
+            (lambda r: {**r, "support": 5}, "support must be a list of documents"),
+            (lambda r: {**r, "query": [[1, 2]]}, "a document must be a JSON object"),
+            (lambda r: {**r, "support": [{**r["support"][0], "doc_id": 5}]}, "field 'doc_id' must be a string"),
+        ],
+        ids=["list", "bad-json", "no-episode_id", "no-active_types", "no-support", "no-query", "episode_id-true",
+             "episode_id-list", "active_types-str",
+             "active_types-int", "support-int", "query-doc-list", "doc_id-int"],
+    )
+    def test_malformed_episode_line_rejected_with_line_number(self, tmp_path, edit, match):
+        """A malformed line of an episode file, or a malformed document in it, is an error naming the
+        line, not a traceback, a bare key or a silently misread episode."""
+        episodes = generate_episode_set(synthetic_corpus(seed=2, n_docs=60), SamplerConfig(n_ways=3, d_docs=1, seed=11), 2)
+        path = tmp_path / "episodes.jsonl"
+        write_episodes(episodes, path)
+        first, second = path.read_text().splitlines()
+        second = edit(json.loads(second))
+        path.write_text(first + "\n" + (second if isinstance(second, str) else json.dumps(second)) + "\n")
+        with pytest.raises(CorpusFormatError, match=f"^line 2: .*{match}"):
+            read_episodes(path)
 
 
 class TestEpisodeStats:

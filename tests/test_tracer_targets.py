@@ -19,7 +19,6 @@ UNRESOLVED = {
     ("epiarg.trainer", "window_means"): "training encodes through encode_docs; the epiarg.encoder target times it",
     ("epiarg.trainer", "sample_episode"): "training samples through generate_episode_set, which is traced",
     ("epiarg.trainer", "kmeans_nota"): "MNAV training calls heads.build_mnav_prototypes; the epiarg.heads target times it",
-    ("epiarg.inference", "embed_tokens"): "evaluation encodes its document cache in stacked encode_docs batches",
     ("epiarg.inference", "labels_to_strings"): "scoring decodes the heads' integer labels; there are no role strings",
 }
 
