@@ -297,9 +297,17 @@ def parse_corpus(path: str | Path) -> Corpus:
     """Read a JSON-lines corpus file, rejecting malformed records.
 
     Raises ``CorpusFormatError`` with the offending line number rather than
-    repairing anything.
+    repairing anything; a repeated ``doc_id`` names its first line too.
     """
-    return Corpus(tuple(document_from_record(record, line_no) for line_no, record in read_json_lines(path)))
+    documents = []
+    first_line: dict[str, int] = {}
+    for line_no, record in read_json_lines(path):
+        doc = document_from_record(record, line_no)
+        first = first_line.setdefault(doc.doc_id, line_no)
+        if first != line_no:
+            raise CorpusFormatError(f"duplicate doc_id {doc.doc_id!r}, first on line {first}", line_no)
+        documents.append(doc)
+    return Corpus(tuple(documents))
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:

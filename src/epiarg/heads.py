@@ -26,14 +26,17 @@ from .record import Record
 HEAD_NAMES = ("baseline_no_finetune", "protonet", "nnshot", "mnav")
 
 _QUERY_BLOCK = 256
-# Working memory `nearest_per_class` may hold beyond its (T, n_classes) outputs, the
-# class-sorted support copy included, for all its threads together, down to one query row a block
-# (about 5200 support rows at d = 32 on 2 threads). On 800 query x 1600 support rows at d = 32 and
-# 2 threads, 4-32 MiB ran equally fast and 1-2 MiB about 10 % slower.
+# Working memory `nearest_per_class` may hold beyond its (T, n_classes) outputs, its copies of the
+# inputs included, for all its threads together, down to one query row a tile. On 800 query x 1600
+# support rows at d = 32 and 2 threads it gives tiles of about 60 query rows; 8-16 MiB ran 10-15 %
+# faster, 2 MiB (tiles of about 17 rows) 25 % slower and 1 MiB (one row a tile) 3.6 times slower.
 _L1_BLOCK_BYTES = 4 << 20
 # Query rows x support rows x dimensions below which `nearest_per_class` runs on the calling
 # thread alone: starting and joining the threads costs more than smaller kernels save.
 _L1_THREAD_MIN_WORK = 1 << 21
+# L1 row norm from which `nearest_per_class` skips its float32 screen and settles every pair: below
+# it no float32 value or partial sum of the screen comes near overflow.
+_F32_SAFE = 1e30
 
 
 class EmptyClassError(ValueError):
@@ -167,11 +170,22 @@ def protonet_classify(protos: PrototypeSet, query: np.ndarray) -> TokenAssignmen
 mnav_classify = protonet_classify
 
 
-def _pairwise_l1(query_block: np.ndarray, support: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """(B, S) L1 distances by numpy's own ``np.abs(q[:, None] - s[None]).sum(axis=2)``, in ``buf`` (B, S, d)."""
-    np.subtract(query_block[:, None, :], support[None, :, :], out=buf)
-    np.abs(buf, out=buf)
-    return buf.sum(axis=2)
+def _screen(
+    query_t: np.ndarray, support_t: np.ndarray, half_sums: np.ndarray, out: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
+    """One tile's (B, S) float32 ``sum_k max(q_k, s_k) - sum_k s_k / 2``, in ``out``.
+
+    ``query_t`` (d, B) and ``support_t`` (d, S) hold the float32 inputs dimension-major. Each group
+    of ``tmp.shape[1]`` query rows takes two whole-array ufuncs, every dimension's maxima into
+    ``tmp`` (d, rows, S) and their sum over the dimensions, so no row is reduced on its own. Since
+    |q - s| = 2 max(q, s) - q - s, twice the value less the query row's sum is the L1 distance.
+    """
+    rows = tmp.shape[1]
+    for first in range(0, out.shape[0], rows):
+        last = min(first + rows, out.shape[0])
+        maxima = np.maximum(query_t[:, first:last, None], support_t[:, None, :], out=tmp[:, : last - first])
+        np.add.reduce(maxima, axis=0, out=out[first:last])
+    return np.subtract(out, half_sums, out=out)
 
 
 def _usable_cpus() -> int:
@@ -187,41 +201,107 @@ def nearest_per_class(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per query token and class: the least L1 distance to a row of that class, and that row's index.
 
-    Returns two (T, n_classes) arrays. Ties go to the lowest row index; a class
-    with no rows gets +inf and -1. Each block of query rows computes numpy's own
-    ``np.abs(q[:, None] - rows[None]).sum(axis=2)``, so the distances are its bits.
-    Blocks are sized so the working arrays of all threads together stay within
-    ``_L1_BLOCK_BYTES``, at least one row a block: a row takes 8 * S * (d + 2)
-    bytes per thread, so 4 MiB holds about 5200 support rows at d = 32 on 2
-    threads, and beyond that each thread still takes one row a block. From
-    ``_L1_THREAD_MIN_WORK`` on, each usable CPU takes one contiguous range of query
-    rows, the calling thread the first; numpy's element-wise loops release the
-    interpreter lock, and every row is computed by the same operations whichever
-    thread runs it.
+    Returns two (T, n_classes) arrays. The distances are the bits of numpy's own
+    ``np.abs(q[:, None] - rows[None]).sum(axis=2)``; ties go to the lowest row index and a NaN
+    distance ranks first, as in ``argmin``; a class with no rows gets +inf and -1.
+
+    Screen. For each tile of query rows, ``_screen`` gives every support row j a float32 value W_j,
+    and V_j = 2 W_j - sum(q) tracks numpy's float64 distance N_j. With u = 2^-24 and
+    A = |q|_1 + max_j |s_j|_1, |V_j - N_j| <= (2d + 4) u A + (4d + 2) 2^-126 + O(d^2 u^2 A):
+
+    - rounding q and s to float32 moves each max(q_k, s_k) by at most u max(|q_k|, |s_k|), since
+      the max itself is exact: 2 u A;
+    - the d - 1 float32 additions, in whatever order numpy makes them: 2 gamma_{d-1} A, with
+      gamma_n = n u / (1 - n u);
+    - subtracting the half sum, where |W_j| <= 1.5 A: 3 u A;
+    - rounding the float64 sum(s) / 2 to float32: u A;
+    - numpy's own float64 sum, and the one above, are off by at most (d + 1) 2^-53 A each;
+    - each of the 2d + 1 float32 results may lose up to 2^-126 more where it underflows, with or
+      without flush-to-zero, which counts twice in V.
+
+    E = 1.01 ((2d + 6) u A + (4d + 4) 2^-126) covers all of it for d < 2^16. A row at numpy's least
+    distance in its class then has V_j <= min_class V + 2E, that is W_j <= min_class W + E, so every
+    row within E of its class's screened minimum is a candidate. If a row's L1 norm is at or past
+    ``_F32_SAFE`` or not finite, d is outside 1 .. 2^16 - 1 or the inputs are not float64, the
+    screen runs on zeros with E = 0 and every pair is a candidate.
+
+    Settle. Each candidate's distance is numpy's own ``np.abs(q_i - s_j).sum(axis=1)`` on the
+    gathered pairs, the same per-row sums as the broadcast expression. Per query row and class the
+    least distance wins, then the least row index: a tile's chunks are settled last to first, and on
+    a tie the chunk settled later, which holds the lower row index, wins.
+
+    Memory. The working arrays of all threads together, the float32 copies and the class-sorted
+    support included, stay within ``_L1_BLOCK_BYTES``, down to one query row a tile. Of a thread's
+    share, an eighth holds the (d, rows, S) maxima of ``_screen`` and an eighth the candidates
+    settled at once, at 8 (2d + 16) bytes a pair, so inputs full of ties never gather more than that
+    chunk. The tiles take the rest, at 13 bytes a pair: the screen, the keep mask and, if every pair
+    is kept, an int64 index.
+
+    Threads. From ``_L1_THREAD_MIN_WORK`` on, each usable CPU takes one contiguous range of query
+    rows, the calling thread the first; numpy's element-wise loops release the interpreter lock,
+    and every row is computed by the same operations whichever thread runs it.
     """
     n_query = query.shape[0]
-    dmin = np.full((n_query, n_classes), np.inf)
+    n_rows, d = rows.shape
+    dmin = np.full((n_query, n_classes), np.inf)  # a NaN distance is held as -1 until the end
     umin = np.full((n_query, n_classes), -1, dtype=np.int64)
     order = np.argsort(labels, kind="stable")  # each class contiguous, original order within it
-    bounds = np.searchsorted(labels[order], np.arange(n_classes + 1))
-    members = [(c, bounds[c], bounds[c + 1]) for c in range(n_classes) if bounds[c + 1] > bounds[c]]
     support = rows[order]  # (S, d) in class order
-    n_rows, d = rows.shape
+    column_class = labels[order]
+    bounds = np.searchsorted(column_class, np.arange(n_classes + 1))
+    members = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    query_norms, support_norms = np.abs(query).sum(axis=1), np.abs(support).sum(axis=1)
+    top = support_norms.max(initial=0.0)  # not finite if a support row is not
+    if query.dtype == rows.dtype == np.float64 and 0 < d < 1 << 16 and query_norms.max(initial=top) < _F32_SAFE:
+        query_t = np.ascontiguousarray(query.T, dtype=np.float32)
+        support_t = np.ascontiguousarray(support.T, dtype=np.float32)
+        half_sums = (support.sum(axis=1) / 2).astype(np.float32)
+        slack = 1.01 * ((2 * d + 6) * 2.0**-24 * (query_norms + top) + (4 * d + 4) * 2.0**-126)  # E per row
+    else:
+        query_t, support_t = np.zeros((1, n_query), np.float32), np.zeros((1, n_rows), np.float32)
+        half_sums, slack = np.zeros(n_rows, np.float32), np.zeros(n_query)
+    dims = len(query_t)  # 1 where every pair is a candidate
+    held = sum(x.nbytes for x in (order, support, column_class, query_norms, support_norms))
+    held += sum(x.nbytes for x in (query_t, support_t, half_sums, slack))
     threads = min(_usable_cpus(), n_query) if n_query * n_rows * d >= _L1_THREAD_MIN_WORK else 1
-    # A query row takes S * d differences and S sums in each thread, plus S more: the previous block's
-    # sums live until the next block's replace them, and argmin copies the slice of one class.
-    block = max(1, (_L1_BLOCK_BYTES - support.nbytes - order.nbytes) // (threads * 8 * n_rows * (d + 2)))
+    per_thread = (_L1_BLOCK_BYTES - held) // threads
+    chunk = max(1, per_thread // 8 // (8 * (2 * d + 16)))
+    rows_maxima = max(1, per_thread // 8 // (4 * dims * max(n_rows, 1)))
+    spent = chunk * 8 * (2 * d + 16) + rows_maxima * 4 * dims * n_rows
+    block = max(1, (per_thread - spent) // (13 * max(n_rows, 1)))
+
+    def settle(start: int, pairs: np.ndarray) -> None:
+        qi, sj = np.divmod(pairs, n_rows)
+        at = start + qi
+        diff = query[at]
+        np.subtract(diff, support[sj], out=diff)
+        dist = np.abs(diff, out=diff).sum(axis=1)
+        dist[np.isnan(dist)] = -1.0  # argmin takes the first NaN
+        group = at * n_classes + column_class[sj]  # non-decreasing: pairs come in row, then class order
+        first = np.ones(group.size, dtype=bool)
+        np.not_equal(group[1:], group[:-1], out=first[1:])
+        best = np.lexsort((dist, group))[first]  # per group the least distance, then the lowest row index
+        t, c = at[best], column_class[sj[best]]
+        win = dist[best] <= dmin[t, c]  # chunks run last to first, so a tie goes to the lower row index
+        t, c, best = t[win], c[win], best[win]
+        dmin[t, c] = dist[best]
+        umin[t, c] = order[sj[best]]
 
     def share(first: int, stop: int) -> None:
-        buf = np.empty((min(block, stop - first), n_rows, d))
+        out = np.empty((min(block, stop - first), n_rows), np.float32)
+        tmp = np.empty((dims, min(rows_maxima, len(out)), n_rows), np.float32)
+        keep = np.zeros(out.shape, dtype=bool)  # columns of no class stay False
         for start in range(first, stop, block):
             end = min(start + block, stop)
-            dist = _pairwise_l1(query[start:end], support, buf[: end - start])
-            span = np.arange(end - start)
-            for c, lo, hi in members:
-                best = lo + dist[:, lo:hi].argmin(axis=1)
-                umin[start:end, c] = order[best]
-                dmin[start:end, c] = dist[span, best]
+            screen = _screen(query_t[:, start:end], support_t, half_sums, out[: end - start], tmp)
+            for lo, hi in members:
+                part = screen[:, lo:hi]
+                limit = np.minimum.reduce(part, axis=1) + slack[start:end]
+                np.less_equal(part, limit[:, None], out=keep[: end - start, lo:hi])
+            pairs = np.flatnonzero(keep[: end - start])
+            for lo in reversed(range(0, pairs.size, chunk)):
+                settle(start, pairs[lo : lo + chunk])
+            del pairs  # before the next tile makes its own
 
     cuts = [n_query * i // threads for i in range(threads + 1)]
     if threads == 1:
@@ -232,6 +312,7 @@ def nearest_per_class(
             share(cuts[0], cuts[1])
             for future in others:
                 future.result()
+    dmin[dmin < 0] = np.nan
     return dmin, umin
 
 

@@ -70,6 +70,17 @@ class TestParsing:
         with pytest.raises(CorpusFormatError, match="duplicate"):
             parse_corpus(path)
 
+    def test_duplicate_doc_id_names_both_lines(self, tmp_path):
+        records = [
+            {"doc_id": doc_id, "title": "x", "event_type": "e", "tokens": ["a"], "arguments": []}
+            for doc_id in ("d1", "d2", "d1")
+        ]
+        path = tmp_path / "dup.jsonl"
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        with pytest.raises(CorpusFormatError, match=r"^line 3: duplicate doc_id 'd1', first on line 1$") as info:
+            parse_corpus(path)
+        assert info.value.line == 3
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.jsonl"
         path.write_text('{"doc_id": "d1"\n')

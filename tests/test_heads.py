@@ -183,7 +183,8 @@ def broadcast_nearest_per_class(query, rows, labels, n_classes):
 
 
 class TestL1Kernel:
-    """``nearest_per_class`` computes numpy's broadcast L1 sum per query block, so it must match numpy bit for bit."""
+    """``nearest_per_class`` screens in float32 and settles its candidates on numpy's own sums, so it
+    must match numpy bit for bit."""
 
     @pytest.mark.parametrize("budget", ["module", 0])  # 0 forces one query row per block
     @pytest.mark.parametrize("d", [3, 8, 13, 32, 64, 100, 129, 200])
@@ -258,16 +259,16 @@ class TestL1Kernel:
         assert np.array_equal(dmin, ref_d) and np.array_equal(umin, ref_u)
 
     def test_error_in_a_worker_share_reaches_the_caller(self, monkeypatch):
-        pairwise_l1 = heads._pairwise_l1
+        screen = heads._screen
 
         def fail_off_main(*args):
             if threading.current_thread() is not threading.main_thread():
                 raise FloatingPointError("worker share failed")
-            return pairwise_l1(*args)
+            return screen(*args)
 
         monkeypatch.setattr(heads, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(heads, "_L1_THREAD_MIN_WORK", 0)
-        monkeypatch.setattr(heads, "_pairwise_l1", fail_off_main)
+        monkeypatch.setattr(heads, "_screen", fail_off_main)
         rng = np.random.default_rng(6)
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="worker share failed"):
@@ -276,22 +277,78 @@ class TestL1Kernel:
 
     @pytest.mark.parametrize("d", [8, 32, 64])
     def test_working_memory_within_budget(self, d, monkeypatch, cpus=1):
+        """Within budget whether few pairs are candidates or every pair is: identical support rows
+        tie everywhere, and ~1e-300 rows are all zero in the float32 screen."""
         monkeypatch.setattr(heads, "_usable_cpus", lambda: cpus)
         rng = np.random.default_rng(4)
         rows = rng.normal(size=(2000, d))
         labels = rng.integers(0, 4, size=2000)
         query = rng.normal(size=(300, d))
-        tracemalloc.start()
-        try:
-            dmin, umin = nearest_per_class(query, rows, labels, 4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= heads._L1_BLOCK_BYTES + dmin.nbytes + umin.nbytes
+        identical = np.tile(rows[:1], (2000, 1))
+        for support, queries in [(rows, query), (identical, query), (rows * 1e-300, query * 1e-300)]:
+            tracemalloc.start()
+            try:
+                dmin, umin = nearest_per_class(queries, support, labels, 4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= heads._L1_BLOCK_BYTES + dmin.nbytes + umin.nbytes
 
     @pytest.mark.parametrize("d", [8, 32, 64])
     def test_threads_share_one_memory_budget(self, d, monkeypatch):
         self.test_working_memory_within_budget(d, monkeypatch, cpus=2)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf and overflow, on purpose
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize(
+        "case",
+        ["ulp_apart", "integer_grid", "spread", "past_f32_safe", "non_finite", "tiny", "one_dimension", "float32"],
+    )
+    def test_near_ties_bit_identical_to_broadcast_sum(self, case, cpus, monkeypatch):
+        """The screen keeps every row that can tie numpy's class minimum, and the all-candidates path
+        settles every pair, down to the last bit and the lowest index."""
+        monkeypatch.setattr(heads, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(heads, "_L1_THREAD_MIN_WORK", 0)
+        query, rows = near_tie_inputs(case, np.random.default_rng(len(case)))
+        labels = np.random.default_rng(cpus).integers(0, 4, size=rows.shape[0])
+        dmin, umin = nearest_per_class(query, rows, labels, 5)
+        ref_d, ref_u = broadcast_nearest_per_class(query, rows, labels, 5)
+        assert np.array_equal(dmin, ref_d, equal_nan=True)
+        assert np.array_equal(umin, ref_u)
+
+
+def near_tie_inputs(case, rng):
+    """(query, support rows) on which a float32 screen would pick the wrong row without its slack."""
+    if case == "ulp_apart":  # rows 1 ulp apart, and queries halfway between two rows
+        base = rng.normal(size=(40, 8))
+        rows = np.vstack([base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf), base[::-1]])
+        return np.vstack([base, (rows[:80] + rows[80:]) / 2, (base[:-1] + base[1:]) / 2]), rows
+    if case == "integer_grid":  # every distance is a small integer: ties everywhere
+        grid = rng.integers(0, 3, size=(300, 8)).astype(float)
+        return grid[:150], grid[150:]
+    if case == "spread":  # entries from 1e-30 to 1e28, below the float32-safe row norm
+        mags = 10.0 ** rng.uniform(-30, 28, size=(350, 8)) * rng.choice([-1.0, 1.0], size=(350, 8))
+        mags[:50] = mags[200:250]  # zero distances
+        return mags[:150], mags[150:]
+    if case == "past_f32_safe":  # up to 1e307: float32 overflows, and some float64 sums reach inf
+        mags = 10.0 ** rng.uniform(-30, 307, size=(350, 8)) * rng.choice([-1.0, 1.0], size=(350, 8))
+        mags[:50] = mags[200:250]
+        return mags[:150], mags[150:]
+    if case == "non_finite":  # NaN distances rank first, as in argmin
+        values = rng.integers(0, 3, size=(350, 8)).astype(float)
+        values[rng.random(size=values.shape) < 0.02] = np.nan
+        values[rng.random(size=values.shape) < 0.02] = np.inf
+        return values[:150], values[150:]
+    if case == "tiny":  # subnormal or zero in float32, some subnormal in float64
+        mags = 10.0 ** rng.uniform(-320, -36, size=(350, 8)) * rng.choice([-1.0, 1.0], size=(350, 8))
+        mags[:50] = mags[200:250]
+        return mags[:150], mags[150:]
+    if case == "float32":  # numpy sums float32 inputs in float32, past the screen's bound
+        query, rows = near_tie_inputs("ulp_apart", rng)
+        return query.astype(np.float32), rows.astype(np.float32)
+    assert case == "one_dimension"
+    values = np.vstack([rng.integers(0, 5, size=(250, 1)).astype(float), rng.normal(size=(100, 1))])
+    return values[::2], values[1::2]
 
 
 def broadcast_kmeans(points, k, seed, max_iters=100):
