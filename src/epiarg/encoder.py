@@ -149,15 +149,19 @@ def window_means_backward(grad: np.ndarray, plan: ChunkPlan, radius: int) -> np.
     return out
 
 
+def stack_plans(plans: Sequence[ChunkPlan]) -> ChunkPlan:
+    """One plan over documents stacked in order: each document's chunks, shifted to its first row."""
+    starts = accumulate((plan.num_tokens for plan in plans), initial=0)
+    chunks = tuple((s + start, e + start) for plan, start in zip(plans, starts) for s, e in plan.chunks)
+    return ChunkPlan(plans[0].chunk_length, chunks)
+
+
 def encode_docs(
     params: ToyEncoderParams, buckets: Sequence[np.ndarray], plans: Sequence[ChunkPlan]
 ) -> tuple[np.ndarray, np.ndarray]:
     """h_t = window-mean of token embeddings (clipped to the chunk) times the projection, for documents
     stacked in order; returns the rows and the window means. Chunks stay per document."""
-    starts = accumulate((plan.num_tokens for plan in plans), initial=0)
-    chunks = tuple((s + start, e + start) for plan, start in zip(plans, starts) for s, e in plan.chunks)
-    stacked = ChunkPlan(plans[0].chunk_length, chunks)
-    mixed = window_means(params.table[np.concatenate(buckets)], stacked, params.config.radius)
+    mixed = window_means(params.table[np.concatenate(buckets)], stack_plans(plans), params.config.radius)
     if mixed.shape[0] == 1:
         # numpy multiplies a lone row with another BLAS kernel (gemv) than a stack (gemm), which
         # changes its last bits; a stack of two gives the row the bits it has in any stack.

@@ -22,6 +22,7 @@ import numpy as np
 
 from .files import atomic_write
 from .record import Record
+from .seeds import substream
 
 HEAD_NAMES = ("baseline_no_finetune", "protonet", "nnshot", "mnav")
 
@@ -450,6 +451,12 @@ def build_mnav_prototypes(
         type_vectors=base.type_vectors,
         nota_vectors=result.centroids,
     )
+
+
+def mnav_stream(seed: int, active_types: Sequence[str], doc_ids: Iterable[str]) -> np.random.Generator:
+    """MNAV's k-means stream for one support set, a function of the active types (counted, so the key is
+    unambiguous) and the support doc_ids: episodes that share the set share its NOTA vectors."""
+    return substream(seed, "kmeans", len(active_types), *active_types, *doc_ids)
 
 
 def prototype_rows(protos: PrototypeSet) -> list[tuple[str, np.ndarray]]:

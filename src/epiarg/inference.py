@@ -24,11 +24,11 @@ from .heads import (
     compute_prototypes,
     io_labels,
     mnav_classify,
+    mnav_stream,
     nnshot_classify,
     protonet_classify,
 )
 from .sampler import Episode
-from .seeds import substream
 from .trainer import ModelParams
 
 class _DocumentRows:
@@ -76,11 +76,11 @@ class _DocumentRows:
         baseline; the support rows times ``params.reducer`` with their IO labels for NNShot; class
         means with K k-means NOTA vectors in place of the O mean for MNAV.
 
-        Apart from MNAV's, the support depends only on the support set, so it is built once per
-        distinct set, keyed by the active types and each support document's ``doc_id`` and spans
-        (rows are served by ``doc_id``, and IO labels are a function of the spans and the active
-        types). A cache serves one head. MNAV's NOTA vectors come from k-means seeded by the episode
-        id, so MNAV builds its set for every episode.
+        Every head's support depends only on the support set, so it is built once per distinct set,
+        keyed by the active types and each support document's ``doc_id`` and spans (rows are served
+        by ``doc_id``, and IO labels are a function of the spans and the active types). MNAV's
+        k-means is seeded by ``mnav_stream`` from ``seed``, the active types and the support
+        ``doc_id``s. A cache serves one head and one seed.
         """
         if head_cfg.name == "nnshot" and (params is None or params.reducer is None):
             raise ValueError("nnshot inference requires reducer parameters")
@@ -93,9 +93,9 @@ class _DocumentRows:
             np.concatenate([io_labels(len(doc.tokens), doc.arguments, active) for doc in episode.support]),
         )
         if head_cfg.name == "mnav":
-            kmeans_seed = substream(seed, "kmeans", episode.episode_id)
-            return build_mnav_prototypes(stack, active, head_cfg.kmeans_k, kmeans_seed, head_cfg.kmeans_iters)
-        if head_cfg.name == "nnshot":
+            rng = mnav_stream(seed, active, (doc.doc_id for doc in episode.support))
+            self._supports[key] = build_mnav_prototypes(stack, active, head_cfg.kmeans_k, rng, head_cfg.kmeans_iters)
+        elif head_cfg.name == "nnshot":
             self._supports[key] = (stack[0] @ params.reducer, stack[1])
         else:
             self._supports[key] = compute_prototypes(stack, active)
@@ -137,7 +137,7 @@ def run_episode(
     encoded under ``params``. Each query document's rows are taken from the
     cache as they are; every head's support comes from the same cache
     (``_DocumentRows.support``), so a support set it has seen is not stacked,
-    averaged or reduced again, except MNAV's. Gold spans are viewed through the
+    averaged, reduced or clustered again. Gold spans are viewed through the
     heads' integer IO labels so predictions and references use the same
     notation (adjacent same-role gold spans merge).
     """

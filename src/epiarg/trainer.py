@@ -25,6 +25,7 @@ from .encoder import (
     ToyEncoderParams,
     chunk_document,
     encode_docs,
+    stack_plans,
     window_means_backward,
 )
 from .files import atomic_write, read_checked
@@ -36,6 +37,7 @@ from .heads import (
     class_counts,
     compute_prototypes,
     io_labels,
+    mnav_stream,
     nearest_per_class,
     protonet_classify,
 )
@@ -48,6 +50,9 @@ _CKPT_VERSION = 1
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+# Rows per block of ``token_sum``: 11 of 56 products over 255 to 9001 rows changed bits between one and
+# two OpenBLAS threads, and none in 256-row blocks (tests/test_blas_threads.py guards this).
+_TOKEN_BLOCK = 256
 
 
 class NumericalError(RuntimeError):
@@ -201,25 +206,13 @@ def _softmax_ce_backward(logits: np.ndarray, gold: np.ndarray) -> tuple[float, n
     return loss, grad / n
 
 
-def _encoder_backward(
-    params: ModelParams,
-    buckets: Sequence[np.ndarray],
-    plans: Sequence[ChunkPlan],
-    mixed: np.ndarray,
-    d_hidden: np.ndarray,
-    grads: Gradients,
-) -> None:
-    """Accumulate dL/dtable and dL/dprojection given dL/dH for stacked documents."""
-    radius = params.encoder.config.radius
-    offset = 0
-    for b, plan in zip(buckets, plans):
-        rows = slice(offset, offset + len(b))
-        offset += len(b)
-        dh = d_hidden[rows]
-        grads.projection += mixed[rows].T @ dh
-        dmixed = dh @ params.encoder.projection.T
-        drows = window_means_backward(dmixed, plan, radius)
-        grads.add_rows(b, drows)
+def token_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a.T @ b`` for (T, m) and (T, n) operands, summed in order over blocks of ``_TOKEN_BLOCK`` rows,
+    so that its bits do not depend on how BLAS splits a long reduction among its threads."""
+    out = np.zeros((a.shape[1], b.shape[1]))
+    for start in range(0, a.shape[0], _TOKEN_BLOCK):
+        out += a[start : start + _TOKEN_BLOCK].T @ b[start : start + _TOKEN_BLOCK]
+    return out
 
 
 def forward_backward(
@@ -238,7 +231,8 @@ def forward_backward(
     k-means inside the forward pass (or taken from ``fixed_nota``) and treated
     as constants: gradients flow through the type prototypes and the query
     embeddings only. The support documents, then the query documents, go
-    through one stacked encoder forward and one encoder backward.
+    through one stacked encoder forward and its mirror, one backward over the
+    same stack; each product that sums over token rows is a ``token_sum``.
     """
     grads = out if out is not None else Gradients.zeros_like(params)
     n = tensors.n_types
@@ -268,35 +262,34 @@ def forward_backward(
         ddist[:, :n] = -dlogits[:, :n]
         ddist[np.arange(ddist.shape[0]), n + nearest] = -dlogits[:, n]
         d_hq = 2.0 * (ddist.sum(axis=1, keepdims=True) * h_query - ddist @ rows)
-        d_rows = -2.0 * (ddist[:, :learned].T @ h_query - ddist[:, :learned].sum(axis=0)[:, None] * rows[:learned])
-        d_hs = np.zeros_like(h_support)
-        flows = support_labels < learned
-        d_hs[flows] = d_rows[support_labels[flows]] / counts[support_labels[flows]][:, None]
+        d_rows = token_sum(ddist[:, :learned], h_query) - ddist[:, :learned].sum(axis=0)[:, None] * rows[:learned]
+        d_hidden = np.zeros_like(hidden)
+        flows = np.flatnonzero(support_labels < learned)
+        d_hidden[flows] = -2.0 * d_rows[support_labels[flows]] / counts[support_labels[flows]][:, None]
+        d_hidden[len(support_labels) :] = d_hq
     elif head_cfg.name == "nnshot":
         if params.reducer is None:
             raise ValueError("nnshot training requires a reducer")
-        r_support = h_support @ params.reducer
-        r_query = h_query @ params.reducer
+        r_support, r_query = np.split(hidden @ params.reducer, [len(support_labels)])
         dmin, umin = nearest_per_class(r_query, r_support, support_labels, n + 1)
         loss, dlogits = _softmax_ce_backward(-dmin, gold)
-        ddmin = -dlogits
-        d_rq = np.zeros_like(r_query)
-        d_rs = np.zeros_like(r_support)
-        for c in range(n + 1):
-            sel = umin[:, c]
-            sgn = np.sign(r_query - r_support[sel])
-            weighted = ddmin[:, c][:, None] * sgn
-            d_rq += weighted
-            np.add.at(d_rs, sel, -weighted)
-        grads.reducer += h_support.T @ d_rs + h_query.T @ d_rq
-        d_hq = d_rq @ params.reducer.T
-        d_hs = d_rs @ params.reducer.T
+        weighted = -dlogits[:, :, None] * np.sign(r_query[:, None, :] - r_support[umin])  # (query, class, d)
+        d_reduced = np.zeros((len(hidden), r_query.shape[1]))
+        # A support row is the nearest of its own class only, so its terms add up in query order,
+        # as they would in a loop over classes.
+        np.add.at(d_reduced, umin, -weighted)
+        d_reduced[len(support_labels) :] = weighted.sum(axis=1)
+        grads.reducer += token_sum(hidden, d_reduced)
+        d_hidden = d_reduced @ params.reducer.T
     else:
         raise ValueError(f"head {head_cfg.name!r} is not trainable")
 
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite loss {loss!r}")
-    _encoder_backward(params, buckets, plans, mixed, np.vstack([d_hs, d_hq]), grads)
+    grads.projection += token_sum(mixed, d_hidden)
+    d_mixed = d_hidden @ params.encoder.projection.T
+    drows = window_means_backward(d_mixed, stack_plans(plans), params.encoder.config.radius)
+    grads.add_rows(np.concatenate(buckets), drows)
     return loss, grads
 
 
@@ -446,13 +439,8 @@ def train(
     with atomic_write(log_path) if log_path is not None else contextlib.nullcontext() as log_handle:
         for i, episode in enumerate(train_episodes):
             tensors = episode_tensors(episode, params, encoder_cfg.chunk_length)
-            loss, _ = forward_backward(
-                params,
-                tensors,
-                head_cfg,
-                nota_rng=substream(train_cfg.seed, "kmeans", i),
-                out=grads,
-            )
+            nota_rng = mnav_stream(train_cfg.seed, episode.active_types, (doc.doc_id for doc in episode.support))
+            loss, _ = forward_backward(params, tensors, head_cfg, nota_rng=nota_rng, out=grads)
             in_batch += 1
             record: dict = {"episode": i + 1, "loss": loss}
             if in_batch == train_cfg.batch_size or i == train_cfg.episodes - 1:

@@ -89,7 +89,7 @@ def reference_report(episodes, params, head_cfg, embed, seed):
         if head_cfg.name == "nnshot":
             reduced = (support[0] @ params.reducer, support[1])
         elif head_cfg.name == "mnav":
-            kmeans_seed = substream(seed, "kmeans", ep.episode_id)
+            kmeans_seed = substream(seed, "kmeans", len(active), *active, *(d.doc_id for d in ep.support))
             protos = build_mnav_prototypes(support, active, head_cfg.kmeans_k, kmeans_seed, head_cfg.kmeans_iters)
         else:
             protos = compute_prototypes(support, active)
@@ -184,6 +184,21 @@ class TestPrototypeSets:
             assert protos.active_types == alone.active_types
             assert np.array_equal(protos.type_vectors, alone.type_vectors)
             assert np.array_equal(protos.nota_vectors, alone.nota_vectors)
+
+    def test_mnav_nota_is_a_function_of_the_support_set(self, repeated_supports):
+        """Two episodes with one support set, other episode ids and other queries get equal NOTA
+        vectors, from one call or from two. One Lloyd iteration keeps the vectors a function of the
+        k-means seeding, which a second support set shows."""
+        params, _ = fresh_params("mnav")
+        head_cfg = HeadConfig("mnav", kmeans_k=3, kmeans_iters=1)
+        first = repeated_supports[0]
+        twin = replace(first, episode_id=first.episode_id + 1000, query=repeated_supports[1].query)
+        together = prototype_sets([first, twin], params, head_cfg, ENCODER, seed=3)
+        apart = [prototype_sets([ep], params, head_cfg, ENCODER, seed=3)[0] for ep in (first, twin)]
+        for protos in together[1:] + apart:
+            assert np.array_equal(protos.nota_vectors, together[0].nota_vectors)
+        other_seed = prototype_sets([first], params, head_cfg, ENCODER, seed=4)[0]
+        assert not np.array_equal(other_seed.nota_vectors, together[0].nota_vectors)
 
     def test_nnshot_exports_class_means(self, repeated_supports):
         """NNShot classifies against support tokens, not prototypes; it exports its support's class means."""
@@ -308,8 +323,7 @@ class TestEvaluateEpisodes:
 
     @pytest.mark.parametrize("head", ["protonet", "baseline_no_finetune", "nnshot", "mnav"])
     def test_support_stacked_once_per_support_set(self, repeated_supports, monkeypatch, head):
-        """Every head but MNAV stacks the rows of each distinct support set once per call; MNAV, whose
-        NOTA vectors are seeded by the episode id, stacks them for every episode."""
+        """Every head stacks the rows of each distinct support set once per call."""
         params, head_cfg = fresh_params(head)
         calls = []
         original = inference._DocumentRows.stacked
@@ -321,11 +335,10 @@ class TestEvaluateEpisodes:
         monkeypatch.setattr(inference._DocumentRows, "stacked", counting)
         evaluate_episodes(repeated_supports, params, head_cfg, ENCODER, seed=4)
         assert len(distinct_supports(repeated_supports)) < len(repeated_supports)
-        expected = repeated_supports if head == "mnav" else distinct_supports(repeated_supports)
-        assert len(calls) == len(expected)
+        assert len(calls) == len(distinct_supports(repeated_supports))
 
-    def test_mnav_prototypes_once_per_episode(self, repeated_supports, monkeypatch):
-        """MNAV's NOTA vectors are seeded by the episode id, so no support set shares them."""
+    def test_mnav_prototypes_once_per_support_set(self, repeated_supports, monkeypatch):
+        """MNAV's NOTA vectors are seeded by the support set, so episodes that share it share them."""
         params, head_cfg = fresh_params("mnav")
         calls = []
         original = inference.build_mnav_prototypes
@@ -336,7 +349,7 @@ class TestEvaluateEpisodes:
 
         monkeypatch.setattr(inference, "build_mnav_prototypes", counting)
         evaluate_episodes(repeated_supports, params, head_cfg, ENCODER, seed=4)
-        assert len(calls) == len(repeated_supports)
+        assert len(calls) == len(distinct_supports(repeated_supports))
 
     def test_non_finite_query_embedding_rejected(self, episode_fixture):
         """A NaN in a table row that only query documents of the set use stops the evaluation."""

@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import epiarg.inference
+import epiarg.trainer
 from epiarg.corpus import compute_split
-from epiarg.encoder import EncoderConfig, chunk_document, embed_tokens
+from epiarg.encoder import EncoderConfig, chunk_document, embed_tokens, encode_docs, window_means_backward
 from epiarg.heads import (
     EmptyClassError,
     HeadConfig,
@@ -19,6 +21,8 @@ from epiarg.heads import (
     io_labels,
     kmeans_nota,
     mnav_classify,
+    mnav_stream,
+    nearest_per_class,
     nnshot_classify,
     protonet_classify,
 )
@@ -41,6 +45,7 @@ from epiarg.trainer import (
     load_checkpoint,
     save_checkpoint,
     step,
+    token_sum,
     train,
 )
 
@@ -63,6 +68,55 @@ def small_episode(seed, vocab_start=0):
     support = (doc("s1", [(2, 4, "A")]), doc("s2", [(1, 2, "B"), (6, 8, "A")]))
     query = (doc("q1", [(3, 5, "B"), (8, 9, "A")]),)
     return Episode(0, ("A", "B"), support, query)
+
+
+def long_episode(seed):
+    """Two-way episode over documents of many chunks, plus a one-token support and a one-token query
+    document. One query document repeats a support document's tokens, so its reduced rows sit exactly
+    on support rows."""
+    from epiarg.corpus import ArgumentSpan, Document
+    from epiarg.sampler import Episode
+
+    rng = substream(seed, "long-episode")
+    vocab = [f"v{i}" for i in range(30)]
+
+    def doc(doc_id, n, spans):
+        tokens = tuple(vocab[int(rng.integers(len(vocab)))] for _ in range(n))
+        return Document(doc_id, doc_id, "e", tokens, tuple(ArgumentSpan(s, e, r) for s, e, r in spans))
+
+    repeated = doc("s2", 150, [(5, 9, "B")])
+    support = (doc("s1", 330, [(10, 14, "A"), (200, 203, "B")]), repeated, doc("s3", 1, [(0, 1, "A")]))
+    query = (doc("q1", 280, [(30, 33, "A"), (100, 104, "B")]), replace(repeated, doc_id="q2"), doc("q3", 1, ()))
+    return Episode(0, ("A", "B"), support, query)
+
+
+def per_document_encoder_backward(params, tensors, mixed, d_hidden):
+    """The encoder backward one document at a time: table and projection gradients and touched rows."""
+    table, projection = np.zeros(params.encoder.table.shape), np.zeros(params.encoder.projection.shape)
+    rows = np.empty(0, dtype=np.int64)
+    offset = 0
+    plans = tensors.support_plans + tensors.query_plans
+    for buckets, plan in zip(tensors.support_buckets + tensors.query_buckets, plans):
+        at = slice(offset, offset + len(buckets))
+        offset += len(buckets)
+        projection += mixed[at].T @ d_hidden[at]
+        d_mixed = d_hidden[at] @ params.encoder.projection.T
+        np.add.at(table, buckets, window_means_backward(d_mixed, plan, params.encoder.config.radius))
+        rows = np.union1d(rows, buckets)
+    return table, projection, rows
+
+
+@pytest.fixture
+def token_sums(monkeypatch):
+    """The operands of each ``token_sum`` call of the trainer, in call order."""
+    calls = []
+
+    def recording(a, b):
+        calls.append((a.copy(), b.copy()))
+        return token_sum(a, b)
+
+    monkeypatch.setattr(epiarg.trainer, "token_sum", recording)
+    return calls
 
 
 def make_params(seed, head="protonet", d_reduced=3):
@@ -253,6 +307,56 @@ class TestGradients:
         np.testing.assert_allclose(
             g_dup.table[bx], g_two.table[bx] + g_two.table[by], atol=1e-12
         )
+
+
+class TestStackedBackward:
+    """One backward over the episode's stacked rows equals the per-document and per-class loops."""
+
+    @pytest.mark.parametrize("head", ["protonet", "nnshot", "mnav"])
+    def test_equals_per_document_loop(self, token_sums, head):
+        params, head_cfg = make_params(11, head=head)
+        tensors = episode_tensors(long_episode(11), params, TEST_ENCODER.chunk_length)
+        assert max(len(plan.chunks) for plan in tensors.support_plans + tensors.query_plans) > 1
+        _, grads = forward_backward(params, tensors, head_cfg, nota_rng=3)
+        mixed, d_hidden = token_sums[-1]  # the projection gradient's product comes last
+        _, expected_mixed = encode_docs(
+            params.encoder, tensors.support_buckets + tensors.query_buckets, tensors.support_plans + tensors.query_plans
+        )
+        np.testing.assert_array_equal(mixed, expected_mixed)
+        table, projection, rows = per_document_encoder_backward(params, tensors, mixed, d_hidden)
+        np.testing.assert_array_equal(grads.rows, rows)
+        np.testing.assert_allclose(grads.table, table, rtol=1e-12)
+        np.testing.assert_allclose(grads.projection, projection, rtol=1e-12)
+
+    def test_nnshot_equals_per_class_loop_bit_for_bit(self, token_sums):
+        from epiarg.trainer import _softmax_ce_backward
+
+        params, head_cfg = make_params(12, head="nnshot")
+        tensors = episode_tensors(long_episode(12), params, TEST_ENCODER.chunk_length)
+        forward_backward(params, tensors, head_cfg)
+        hidden, d_reduced = token_sums[0]  # the reducer gradient's product
+        n_support = len(tensors.support_labels)
+        r_support, r_query = np.split(hidden @ params.reducer, [n_support])
+        dmin, umin = nearest_per_class(r_query, r_support, tensors.support_labels, tensors.n_types + 1)
+        _, dlogits = _softmax_ce_backward(-dmin, tensors.query_labels)
+        d_rq, d_rs = np.zeros_like(r_query), np.zeros_like(r_support)
+        for c in range(tensors.n_types + 1):
+            sel = umin[:, c]
+            weighted = -dlogits[:, c][:, None] * np.sign(r_query - r_support[sel])
+            d_rq += weighted
+            np.add.at(d_rs, sel, -weighted)
+        assert (r_query[:, None, :] == r_support[umin]).any()  # exact ties give signed zeros
+        assert d_reduced.tobytes() == np.vstack([d_rs, d_rq]).tobytes()
+
+    @pytest.mark.parametrize("tokens", [1, 255, 256, 257, 1600])
+    def test_token_sum_matches_product(self, tokens):
+        rng = np.random.default_rng(tokens)
+        a, b = rng.standard_normal((tokens, 7)), rng.standard_normal((tokens, 5))
+        # Two summation orders of T products differ by at most 2 T eps times the sum of their magnitudes.
+        bound = 2 * tokens * np.finfo(np.float64).eps * (np.abs(a).T @ np.abs(b))
+        assert np.all(np.abs(token_sum(a, b) - a.T @ b) <= bound)
+        if tokens <= 256:
+            assert token_sum(a, b).tobytes() == (a.T @ b).tobytes()
 
 
 class TestStep:
@@ -551,6 +655,26 @@ class TestTrainLoop:
         save_checkpoint(ckpt, tmp_path / "trained.fdck")
         save_checkpoint(Checkpoint(snapshots[best], ckpt.config, ckpt.episode, ckpt.history), tmp_path / "copy.fdck")
         assert (tmp_path / "trained.fdck").read_bytes() == (tmp_path / "copy.fdck").read_bytes()
+
+    def test_mnav_kmeans_seeded_by_support_set(self, monkeypatch):
+        """Training seeds each episode's k-means with the stream evaluation uses for its support set."""
+        episodes, states = [], []
+        lower, build = epiarg.trainer.episode_tensors, epiarg.trainer.build_mnav_prototypes
+
+        def recording_lower(episode, *args):
+            episodes.append(episode)
+            return lower(episode, *args)
+
+        def recording_build(support, active, k, rng, iters):
+            states.append(rng.bit_generator.state)
+            return build(support, active, k, rng, iters)
+
+        monkeypatch.setattr(epiarg.trainer, "episode_tensors", recording_lower)
+        monkeypatch.setattr(epiarg.trainer, "build_mnav_prototypes", recording_build)
+        sampler_cfg, train_cfg, encoder_cfg = self._cfgs(3, seed=7)
+        train(self._split(), sampler_cfg, train_cfg, HeadConfig("mnav", kmeans_k=2), encoder_cfg)
+        expected = [mnav_stream(7, ep.active_types, [d.doc_id for d in ep.support]) for ep in episodes]
+        assert states == [rng.bit_generator.state for rng in expected] and len(states) == 3
 
     def test_validate_every_must_fit_budget(self):
         with pytest.raises(ValueError, match="validate_every"):
