@@ -20,14 +20,12 @@ from .corpus import (
 from .encoder import (
     ChunkPlan,
     EmbeddingMatrix,
-    EmbeddingProvider,
     EncoderConfig,
+    ModelParams,
     ToyEncoderParams,
     chunk_document,
     embed_tokens,
     encode_docs,
-    load_external_embeddings,
-    write_external_embeddings,
 )
 from .evaluation import (
     EvalReport,
@@ -35,6 +33,14 @@ from .evaluation import (
     decode_spans,
     fp_fn_analysis,
     score_episode,
+)
+from .formats import (
+    Checkpoint,
+    EmbeddingProvider,
+    load_checkpoint,
+    load_external_embeddings,
+    save_checkpoint,
+    write_external_embeddings,
 )
 from .heads import (
     HeadConfig,
@@ -61,15 +67,11 @@ from .sampler import (
     write_episodes,
 )
 from .trainer import (
-    Checkpoint,
-    ModelParams,
     NumericalError,
     TrainConfig,
     episode_loss,
     episode_tensors,
     forward_backward,
-    load_checkpoint,
-    save_checkpoint,
     step,
     train,
 )

@@ -31,16 +31,16 @@ from .corpus import (
     parse_corpus,
     write_corpus,
 )
-from .encoder import (
-    EmbeddingFormatError,
-    EncoderConfig,
-    chunk_document,
-    embed_tokens,
-    load_external_embeddings,
-    write_external_embeddings,
-)
+from .encoder import EncoderConfig, chunk_document, embed_tokens, initialize_params
 from .evaluation import render_results_table, report_json
 from .files import atomic_write
+from .formats import (
+    EmbeddingFormatError,
+    load_checkpoint,
+    load_external_embeddings,
+    save_checkpoint,
+    write_external_embeddings,
+)
 from .heads import HEAD_NAMES, EmptyClassError, HeadConfig, write_prototypes_csv
 from .inference import evaluate_episodes, prototype_sets
 from .sampler import (
@@ -52,14 +52,7 @@ from .sampler import (
     write_episodes,
 )
 from .seeds import substream
-from .trainer import (
-    NumericalError,
-    TrainConfig,
-    initialize_params,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-)
+from .trainer import NumericalError, TrainConfig, train
 
 _POOLS = ("train", "dev", "test")
 

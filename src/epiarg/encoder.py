@@ -1,32 +1,22 @@
-"""Per-token embeddings: a small trainable encoder plus an adapter for
-precomputed embedding files produced by real document encoders.
+"""Per-token embeddings from a small trainable encoder, and the model parameters it is trained in.
 
 Long documents are processed in fixed-length chunks; context mixing never
-crosses a chunk boundary.
+crosses a chunk boundary. Rows from real document encoders arrive through the
+embedding files of ``epiarg.formats``.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import struct
 from dataclasses import dataclass
 from itertools import accumulate
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import Document
-from .files import atomic_write, read_checked, require_bytes
+from .heads import HeadConfig
 from .record import Record
-
-_MAGIC = b"FDAE"
-_VERSION = 1
-
-
-class EmbeddingFormatError(ValueError):
-    """An external embedding file violates the declared binary format."""
 
 
 @dataclass(frozen=True)
@@ -120,6 +110,36 @@ class ToyEncoderParams:
         return ToyEncoderParams(self.config, dict(self.vocab), self.table.copy(), self.projection.copy())
 
 
+@dataclass
+class ModelParams:
+    encoder: ToyEncoderParams
+    reducer: np.ndarray | None = None  # (d_model, d_reduced)
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        out = {"table": self.encoder.table, "projection": self.encoder.projection}
+        if self.reducer is not None:
+            out["reducer"] = self.reducer
+        return out
+
+    def copy(self) -> "ModelParams":
+        return ModelParams(self.encoder.copy(), None if self.reducer is None else self.reducer.copy())
+
+
+def initialize_params(
+    encoder_cfg: EncoderConfig,
+    head_cfg: HeadConfig,
+    rng: np.random.Generator,
+    vocab_tokens: Sequence[str] = (),
+) -> ModelParams:
+    encoder = ToyEncoderParams.initialize(encoder_cfg, rng, vocab_tokens)
+    reducer = None
+    if head_cfg.name == "nnshot":
+        reducer = rng.uniform(
+            -encoder_cfg.init_scale, encoder_cfg.init_scale, size=(encoder_cfg.d_model, head_cfg.d_reduced)
+        )
+    return ModelParams(encoder=encoder, reducer=reducer)
+
+
 def _window_bounds(length: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
     t = np.arange(length)
     a = np.maximum(0, t - radius)
@@ -177,111 +197,3 @@ def embed_tokens(params: ToyEncoderParams, doc: Document, plan: ChunkPlan) -> Em
         )
     rows, _ = encode_docs(params, [params.bucket_indices(doc.tokens)], [plan])
     return EmbeddingMatrix(doc.doc_id, rows)
-
-
-def write_external_embeddings(
-    matrices: Iterable[EmbeddingMatrix],
-    path: str | Path,
-) -> None:
-    """Write matrices in the versioned binary format (f32 little-endian rows).
-
-    Layout: magic "FDAE", u32 version, u32 d_model, u64 doc count, then per
-    document: u32 id byte length, id bytes, u64 row count, rows f32 LE
-    row-major. A plain-text ``<path>.idx`` maps doc_id to byte offset.
-
-    Both files are written through ``atomic_write``, so a failure leaves the previous file and index.
-    Each matrix is written as it arrives; the header's dimension and count go in once all are written.
-    """
-    d_model, count = None, 0
-    with atomic_write(str(path) + ".idx") as idx, atomic_write(path, "wb") as handle:
-        handle.write(_MAGIC + bytes(16))  # version, d_model and count follow the last matrix
-        for mat in matrices:
-            if d_model is None:
-                d_model = mat.rows.shape[1]
-            elif mat.rows.shape[1] != d_model:
-                raise ValueError(f"matrix {mat.doc_id!r} has dim {mat.rows.shape[1]}, expected {d_model}")
-            idx.write(f"{mat.doc_id}\t{handle.tell()}\n")
-            encoded = mat.doc_id.encode("utf-8")
-            handle.write(struct.pack("<I", len(encoded)))
-            handle.write(encoded)
-            handle.write(struct.pack("<Q", mat.rows.shape[0]))
-            handle.write(np.ascontiguousarray(mat.rows, dtype="<f4").tobytes())
-            count += 1
-        if d_model is None:
-            raise ValueError("no matrices to write")
-        handle.seek(len(_MAGIC))
-        handle.write(struct.pack("<IIQ", _VERSION, d_model, count))
-
-
-class EmbeddingProvider:
-    """Random access to an external embedding file by doc_id."""
-
-    def __init__(self, path: str | Path, d_model: int, offsets: dict[str, int]):
-        self.path = Path(path)
-        self.d_model = d_model
-        self._offsets = offsets
-
-    def get(self, doc_id: str) -> EmbeddingMatrix:
-        """The document's rows; a file cut short is an ``EmbeddingFormatError`` naming it and the document."""
-        if doc_id not in self._offsets:
-            raise EmbeddingFormatError(f"doc_id {doc_id!r} not present in {self.path}")
-        with open(self.path, "rb") as handle:
-
-            def read(n: int, what: str) -> bytes:
-                return read_checked(handle, n, f"{what} of doc {doc_id!r}", EmbeddingFormatError)
-
-            handle.seek(self._offsets[doc_id])
-            (id_len,) = struct.unpack("<I", read(4, "id length"))
-            stored_id = read(id_len, "id").decode("utf-8")
-            if stored_id != doc_id:
-                raise EmbeddingFormatError(
-                    f"index for {self.path} is stale: expected {doc_id!r} at offset, found {stored_id!r}"
-                )
-            (rows,) = struct.unpack("<Q", read(8, "row count"))
-            data = np.frombuffer(read(rows * self.d_model * 4, "rows"), dtype="<f4")
-        return EmbeddingMatrix(doc_id, data.reshape(rows, self.d_model).astype(np.float64))
-
-    def rows_of(self, doc: Document) -> np.ndarray:
-        """The document's rows, checked to number one per token."""
-        rows = self.get(doc.doc_id).rows
-        if rows.shape[0] != len(doc.tokens):
-            raise EmbeddingFormatError(
-                f"doc {doc.doc_id!r}: {rows.shape[0]} embedding rows and {len(doc.tokens)} tokens disagree"
-            )
-        return rows
-
-
-def load_external_embeddings(path: str | Path) -> EmbeddingProvider:
-    """Open an embedding file, using the ``.idx`` sidecar when present."""
-    path = Path(path)
-    with open(path, "rb") as handle:
-        read = functools.partial(read_checked, handle, error=EmbeddingFormatError)
-        header = handle.read(4)
-        if header != _MAGIC:
-            raise EmbeddingFormatError(f"{path}: bad magic {header!r}")
-        version, d_model = struct.unpack("<II", read(8, "version and dimension"))
-        if version != _VERSION:
-            raise EmbeddingFormatError(f"{path}: unsupported version {version}")
-        (doc_count,) = struct.unpack("<Q", read(8, "document count"))
-        index_path = Path(str(path) + ".idx")
-        offsets: dict[str, int] = {}
-        if index_path.exists():
-            for line in index_path.read_text(encoding="utf-8").splitlines():
-                if not line:
-                    continue
-                doc_id, _, offset = line.rpartition("\t")
-                offsets[doc_id] = int(offset)
-        else:
-            for k in range(doc_count):
-                offset = handle.tell()
-                (id_len,) = struct.unpack("<I", read(4, f"id length of document {k}"))
-                doc_id = read(id_len, f"id of document {k}").decode("utf-8")
-                (rows,) = struct.unpack("<Q", read(8, f"row count of document {k}"))
-                offsets[doc_id] = offset
-                require_bytes(handle, rows * d_model * 4, f"rows of document {k}", EmbeddingFormatError)
-                handle.seek(rows * d_model * 4, 1)
-        if len(offsets) != doc_count:
-            raise EmbeddingFormatError(
-                f"{path}: header declares {doc_count} documents, found {len(offsets)}"
-            )
-    return EmbeddingProvider(path, d_model, offsets)

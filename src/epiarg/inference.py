@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Document
-from .encoder import EmbeddingProvider, EncoderConfig, chunk_document, embed_tokens
+from .encoder import EncoderConfig, ModelParams, chunk_document, embed_tokens
 from .evaluation import (
     EvalReport,
     FpFnCounts,
@@ -17,6 +17,7 @@ from .evaluation import (
     fp_fn_counts,
     score_episode,
 )
+from .formats import EmbeddingProvider
 from .heads import (
     HeadConfig,
     PrototypeSet,
@@ -29,7 +30,6 @@ from .heads import (
     protonet_classify,
 )
 from .sampler import Episode
-from .trainer import ModelParams
 
 class _DocumentRows:
     """Rows of distinct documents, keyed by doc_id: read once from an embedding file, or encoded once

@@ -3,32 +3,34 @@
 The loss is the mean cross-entropy of a softmax over negative distances
 against the gold token labels, with O as a class. All gradients are
 analytic; ``forward_backward`` is the single source of truth checked
-against central finite differences in the test suite.
+against central finite differences in the test suite. ``train`` returns a
+``Checkpoint``, which ``epiarg.formats`` writes and reads.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from . import inference  # called as inference.evaluate_episodes, so that a wrapper set there sees validation
 from .corpus import Document, SplitCorpus
 from .encoder import (
     ChunkPlan,
     EncoderConfig,
-    ToyEncoderParams,
+    ModelParams,
     chunk_document,
     encode_docs,
+    initialize_params,
     stack_plans,
     window_means_backward,
 )
-from .files import atomic_write, read_checked
+from .files import atomic_write
+from .formats import Checkpoint, load_checkpoint  # noqa: F401  (perfbench reads epiarg.trainer.load_checkpoint)
 from .heads import (
     HeadConfig,
     PrototypeSet,
@@ -45,8 +47,6 @@ from .record import Record
 from .sampler import Episode, SamplerConfig, generate_episode_set
 from .seeds import substream
 
-_CKPT_MAGIC = b"FDCK"
-_CKPT_VERSION = 1
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
@@ -80,39 +80,6 @@ class TrainConfig(Record):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.episodes > 0 and self.validate_every > self.episodes:
             raise ValueError("validate_every must not exceed the episode budget")
-
-
-@dataclass
-class ModelParams:
-    encoder: ToyEncoderParams
-    reducer: np.ndarray | None = None  # (d_model, d_reduced)
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        out = {"table": self.encoder.table, "projection": self.encoder.projection}
-        if self.reducer is not None:
-            out["reducer"] = self.reducer
-        return out
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            encoder=self.encoder.copy(),
-            reducer=None if self.reducer is None else self.reducer.copy(),
-        )
-
-
-def initialize_params(
-    encoder_cfg: EncoderConfig,
-    head_cfg: HeadConfig,
-    rng: np.random.Generator,
-    vocab_tokens: Sequence[str] = (),
-) -> ModelParams:
-    encoder = ToyEncoderParams.initialize(encoder_cfg, rng, vocab_tokens)
-    reducer = None
-    if head_cfg.name == "nnshot":
-        reducer = rng.uniform(
-            -encoder_cfg.init_scale, encoder_cfg.init_scale, size=(encoder_cfg.d_model, head_cfg.d_reduced)
-        )
-    return ModelParams(encoder=encoder, reducer=reducer)
 
 
 @dataclass
@@ -361,7 +328,8 @@ def apply_update(
 
 
 def step(params: ModelParams, grads: Gradients, cfg: TrainConfig, state: AdamState | None = None) -> float:
-    """One optimizer step; validates gradient finiteness before touching parameters.
+    """One optimizer step; a non-finite gradient raises ``NumericalError`` in ``clip_global_norm``,
+    before any parameter or optimizer state moves.
 
     Returns the pre-clip gradient norm. Only the table rows the update can move are
     visited: rows with a gradient, plus, under AdamW, rows whose moments are non-zero
@@ -375,25 +343,10 @@ def step(params: ModelParams, grads: Gradients, cfg: TrainConfig, state: AdamSta
         # Past about half the table, gathering and scattering the visited rows costs more
         # than a dense pass over a view (measured on 4096x32 and 65536x64 tables).
         index = slice(None) if 2 * visit.size >= grads.table.shape[0] else visit
-    checked = dict(grads.arrays(), table=grads.table[index])
-    for name, g in checked.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient in {name!r}")
+    norm = apply_update(params.arrays(), dict(grads.arrays(), table=grads.table[index]), cfg, state, {"table": index})
     if state is not None and not cfg.weight_decay:
         state.seen = visit
-    return apply_update(params.arrays(), checked, cfg, state, {"table": index})
-
-
-@dataclass
-class Checkpoint:
-    params: ModelParams
-    config: dict
-    episode: int
-    history: tuple[tuple[int, float], ...] = ()
-
-    @property
-    def best_f1(self) -> float:
-        return max((f1 for _, f1 in self.history), default=0.0)
+    return norm
 
 
 def train(
@@ -412,8 +365,6 @@ def train(
     or the final parameters when no validation ever ran.
     The log at ``log_path``, one JSON line per episode, replaces the previous log once training completes.
     """
-    from .inference import evaluate_episodes  # local import to avoid a module cycle
-
     vocab_tokens = [t for doc in split.train for t in doc.tokens]
     params = initialize_params(encoder_cfg, head_cfg, substream(train_cfg.seed, "init"), vocab_tokens)
     config_echo = {
@@ -451,7 +402,7 @@ def train(
                 grads.zero_()
                 in_batch = 0
             if (i + 1) % train_cfg.validate_every == 0 or i == train_cfg.episodes - 1:
-                report = evaluate_episodes(
+                report = inference.evaluate_episodes(
                     dev_episodes, params, head_cfg, encoder_cfg, seed=train_cfg.seed
                 )
                 history.append((i + 1, report.macro_f1))
@@ -467,69 +418,4 @@ def train(
         config=config_echo,
         episode=train_cfg.episodes,
         history=tuple(history),
-    )
-
-
-def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Versioned binary: magic, config JSON blob, then named f32 tensors with shapes.
-
-    Written through ``atomic_write``, so a failure leaves the previous checkpoint at ``path``.
-    """
-    meta = {
-        "config": ckpt.config,
-        "episode": ckpt.episode,
-        "history": [[e, f] for e, f in ckpt.history],
-        "vocab": ckpt.params.encoder.vocab,
-    }
-    blob = json.dumps(meta, ensure_ascii=False).encode("utf-8")
-    tensors = dict(ckpt.params.arrays())
-    with atomic_write(path, "wb") as handle:
-        handle.write(_CKPT_MAGIC)
-        handle.write(struct.pack("<I", _CKPT_VERSION))
-        handle.write(struct.pack("<Q", len(blob)))
-        handle.write(blob)
-        handle.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors.items():
-            encoded = name.encode("utf-8")
-            handle.write(struct.pack("<I", len(encoded)))
-            handle.write(encoded)
-            handle.write(struct.pack("<I", arr.ndim))
-            handle.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            handle.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
-def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint written by ``save_checkpoint``; a file cut short is a ``ValueError`` naming it."""
-    with open(path, "rb") as handle:
-        read = functools.partial(read_checked, handle, part="checkpoint", error=ValueError)
-        if read(4) != _CKPT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", read(4))
-        if version != _CKPT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (blob_len,) = struct.unpack("<Q", read(8))
-        meta = json.loads(read(blob_len).decode("utf-8"))
-        (n_tensors,) = struct.unpack("<I", read(4))
-        tensors: dict[str, np.ndarray] = {}
-        for _ in range(n_tensors):
-            (name_len,) = struct.unpack("<I", read(4))
-            name = read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", read(4))
-            shape = struct.unpack(f"<{ndim}Q", read(8 * ndim))
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(read(count * 4), dtype="<f4").astype(np.float64)
-            tensors[name] = data.reshape(shape)
-    encoder_cfg = EncoderConfig.from_dict(meta["config"]["encoder"])
-    encoder = ToyEncoderParams(
-        config=encoder_cfg,
-        vocab=dict(meta["vocab"]),
-        table=tensors["table"],
-        projection=tensors["projection"],
-    )
-    params = ModelParams(encoder=encoder, reducer=tensors.get("reducer"))
-    return Checkpoint(
-        params=params,
-        config=meta["config"],
-        episode=meta["episode"],
-        history=tuple((int(e), float(f)) for e, f in meta["history"]),
     )

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from epiarg.corpus import apply_leakage_mask, compute_split, write_corpus
-from epiarg.encoder import EncoderConfig
+from epiarg.encoder import EncoderConfig, initialize_params
 from epiarg.evaluation import decode_spans, score_episode
 from epiarg.heads import (
     HeadConfig,
@@ -30,7 +30,7 @@ from epiarg.inference import evaluate_episodes
 from epiarg.sampler import SamplerConfig, generate_episode_set
 from epiarg.seeds import substream
 from epiarg.synthetic import calibrated_corpus, separable_corpus, synthetic_corpus, three_way_specs
-from epiarg.trainer import TrainConfig, episode_tensors, forward_backward, initialize_params, train
+from epiarg.trainer import TrainConfig, episode_tensors, forward_backward, train
 
 from test_trainer import (
     TEST_ENCODER,

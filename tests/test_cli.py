@@ -10,6 +10,7 @@ import pytest
 from epiarg.cli import _COMMANDS, RunConfig, _parse_args, main
 from epiarg.corpus import ArgumentSpan, Corpus, Document, SplitCorpus, SplitSpec, write_corpus
 from epiarg.encoder import EncoderConfig
+from epiarg.formats import load_checkpoint
 from epiarg.heads import HeadConfig
 from epiarg.sampler import SamplerConfig
 from epiarg.synthetic import separable_corpus
@@ -93,7 +94,7 @@ class TestWorkflow:
 
         assert run(config_path, "export-embeddings") == 0
         assert (out / "embeddings.fdae").exists()
-        assert (out / "embeddings.fdae.idx").exists()
+        assert not (out / "embeddings.fdae.idx").exists()
 
         assert run(config_path, "export-prototypes") == 0
         header = (out / "prototypes.csv").read_text().splitlines()[0]
@@ -101,8 +102,6 @@ class TestWorkflow:
 
     def test_train_prints_best_dev_f1(self, workspace, capsys):
         """The summary names the checkpoint's best dev F1, or says no validation ran."""
-        from epiarg.trainer import load_checkpoint
-
         tmp_path, config_path, config = workspace
         assert run(config_path, "split") == 0
         assert run(config_path, "sample") == 0
@@ -127,7 +126,7 @@ class TestWorkflow:
         def outputs():
             report = json.loads((out / "report_protonet_3w1d.json").read_text())
             del report["config"]  # the run config is stamped as given
-            names = ("embeddings.fdae", "embeddings.fdae.idx", "prototypes.csv")
+            names = ("embeddings.fdae", "prototypes.csv")
             return report, [(out / name).read_bytes() for name in names]
 
         trained = outputs()

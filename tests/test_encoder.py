@@ -8,19 +8,17 @@ import pytest
 
 from epiarg.corpus import Corpus, Document
 from epiarg.encoder import (
-    EmbeddingFormatError,
     EmbeddingMatrix,
     EncoderConfig,
     ToyEncoderParams,
     chunk_document,
     embed_tokens,
     encode_docs,
-    load_external_embeddings,
     stable_bucket,
     window_means,
     window_means_backward,
-    write_external_embeddings,
 )
+from epiarg.formats import EmbeddingFormatError, load_external_embeddings, write_external_embeddings
 
 
 def make_doc(doc_id, tokens):
@@ -178,15 +176,14 @@ class TestExternalEmbeddings:
         assert peak <= 5 * rows.nbytes
         provider = load_external_embeddings(path)
         np.testing.assert_array_equal(provider.get("doc199").rows, (rows + 199).astype(np.float32))
-        assert len((tmp_path / "emb.fdae.idx").read_text().splitlines()) == 200
 
     def test_empty_input_keeps_previous_files(self, tmp_path):
         path = tmp_path / "emb.fdae"
         write_external_embeddings(self._matrices(np.random.default_rng(14)), path)
-        before = [path.read_bytes(), (tmp_path / "emb.fdae.idx").read_bytes()]
+        before = path.read_bytes()
         with pytest.raises(ValueError, match="no matrices to write"):
             write_external_embeddings(iter(()), path)
-        assert [path.read_bytes(), (tmp_path / "emb.fdae.idx").read_bytes()] == before
+        assert path.read_bytes() == before
         assert not list(tmp_path.glob(".*.tmp"))
 
     def test_missing_doc_errors(self, tmp_path):
@@ -197,40 +194,47 @@ class TestExternalEmbeddings:
         with pytest.raises(EmbeddingFormatError, match="doc99"):
             provider.get("doc99")
 
-    def test_index_sidecar_used(self, tmp_path):
-        rng = np.random.default_rng(9)
-        path = tmp_path / "emb.fdae"
-        mats = self._matrices(rng)
-        write_external_embeddings(mats, path)
-        assert (tmp_path / "emb.fdae.idx").exists()
-        provider = load_external_embeddings(path)
-        np.testing.assert_array_equal(provider.get("doc1").rows, mats[1].rows)
-
     def test_scan_without_index(self, tmp_path):
+        """The writer writes the one file; the reader finds documents by a scan over their headers."""
         rng = np.random.default_rng(10)
         path = tmp_path / "emb.fdae"
         mats = self._matrices(rng)
         write_external_embeddings(mats, path)
-        (tmp_path / "emb.fdae.idx").unlink()
+        assert [p.name for p in tmp_path.iterdir()] == ["emb.fdae"]
         provider = load_external_embeddings(path)
         np.testing.assert_array_equal(provider.get("doc2").rows, mats[2].rows)
+
+    def test_file_replaced_after_open_is_detected(self, tmp_path):
+        """``get`` reads the id at the offset found at open, and a different one there is an error."""
+        mats = [EmbeddingMatrix(f"doc{i}", np.full((2, 3), float(i))) for i in range(3)]
+        path = tmp_path / "emb.fdae"
+        write_external_embeddings(mats, path)
+        provider = load_external_embeddings(path)
+        write_external_embeddings(mats[::-1], path)
+        with pytest.raises(EmbeddingFormatError) as err:
+            provider.get("doc0")
+        assert str(err.value) == f"{path} changed since it was opened: 'doc2' for 'doc0'"
+        np.testing.assert_array_equal(provider.get("doc1").rows, mats[1].rows)
 
     @pytest.mark.parametrize(
         "cut, what",
         [
-            (6, "version and dimension"),
+            (2, "magic"),
+            (6, "version"),
+            (10, "dimension"),
             (12, "document count"),
             (22, "id length of document 0"),
             (26, "id of document 0"),
             (30, "row count of document 0"),
             (40, "rows of document 0"),
+            (-3, "rows of document 2"),
         ],
     )
     def test_scan_of_truncated_file_is_reported(self, tmp_path, cut, what):
-        """Without an index, a file cut inside the header, an id, a row count or rows fails by path and part."""
+        """A file cut inside the header, an id, a row count or rows, the last document's too, fails to open
+        by path and part."""
         path = tmp_path / "emb.fdae"
         write_external_embeddings(self._matrices(np.random.default_rng(10)), path)
-        (tmp_path / "emb.fdae.idx").unlink()
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(EmbeddingFormatError) as err:
             load_external_embeddings(path)
@@ -257,14 +261,16 @@ class TestExternalEmbeddings:
                 bad_provider.rows_of(doc)
 
     def test_truncated_file_is_reported(self, tmp_path):
-        """A file cut inside a document's id, row count or rows fails by path, document and byte counts."""
+        """A file cut after it was opened, inside a document's id, row count or rows, fails by path, document
+        and byte counts."""
         rng = np.random.default_rng(12)
         path = tmp_path / "emb.fdae"
         mats = self._matrices(rng)
         write_external_embeddings(mats, path)
+        provider = load_external_embeddings(path)
         data = path.read_bytes()
         last = mats[-1]
-        start = int((tmp_path / "emb.fdae.idx").read_text().splitlines()[-1].split("\t")[1])
+        start = len(data) - (4 + len(last.doc_id) + 8 + 4 * last.rows.size)
         rows_at = start + 4 + len(last.doc_id) + 8
         cuts = {
             "id length": start + 2,
@@ -274,7 +280,6 @@ class TestExternalEmbeddings:
         }
         for what, cut in cuts.items():
             path.write_bytes(data[:cut])
-            provider = load_external_embeddings(path)
             with pytest.raises(EmbeddingFormatError) as err:
                 provider.get(last.doc_id)
             message = str(err.value)
@@ -283,7 +288,7 @@ class TestExternalEmbeddings:
             np.testing.assert_array_equal(provider.get(mats[0].doc_id).rows, mats[0].rows)
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
-        """A write that fails part-way leaves the previous file and index as they were, and no temporary file."""
+        """A write that fails part-way leaves the previous file as it was, and no temporary file."""
         rng = np.random.default_rng(13)
         path = tmp_path / "emb.fdae"
         mats = self._matrices(rng)

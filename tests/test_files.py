@@ -17,12 +17,13 @@ import pytest
 import epiarg
 from epiarg import cli
 from epiarg.corpus import compute_split, write_corpus
-from epiarg.encoder import EmbeddingMatrix, EncoderConfig, write_external_embeddings
+from epiarg.encoder import EmbeddingMatrix, EncoderConfig
+from epiarg.formats import save_checkpoint, write_external_embeddings
 from epiarg.heads import HeadConfig, write_prototypes_csv
 from epiarg.inference import prototype_sets
 from epiarg.sampler import SamplerConfig, generate_episode_set, write_episodes
 from epiarg.synthetic import separable_corpus
-from epiarg.trainer import TrainConfig, save_checkpoint, train
+from epiarg.trainer import TrainConfig, train
 
 SAMPLER = SamplerConfig(n_ways=3, d_docs=1, seed=1)
 TRAIN = TrainConfig(episodes=2, learning_rate=0.02, validate_every=2, seed=1, dev_episodes=2)
@@ -59,7 +60,7 @@ WRITERS = {
     ),
     "checkpoint": (["checkpoint.fdck"], lambda d, i: save_checkpoint(i[2], d / "checkpoint.fdck")),
     "embeddings": (
-        ["embeddings.fdae", "embeddings.fdae.idx"],
+        ["embeddings.fdae"],
         lambda d, i: write_external_embeddings(i[4], d / "embeddings.fdae"),
     ),
 }

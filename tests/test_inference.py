@@ -10,18 +10,16 @@ import pytest
 from epiarg import inference
 from epiarg.corpus import ArgumentSpan, Document, compute_split
 from epiarg.encoder import (
-    EmbeddingFormatError,
     EmbeddingMatrix,
-    EmbeddingProvider,
     EncoderConfig,
     ToyEncoderParams,
     chunk_document,
     embed_tokens,
     encode_docs,
-    load_external_embeddings,
-    write_external_embeddings,
+    initialize_params,
 )
 from epiarg.evaluation import EvalReport, FpFnCounts, MatchCounts, aggregate
+from epiarg.formats import EmbeddingFormatError, EmbeddingProvider, load_external_embeddings, write_external_embeddings
 from epiarg.heads import (
     HeadConfig,
     build_mnav_prototypes,
@@ -35,7 +33,6 @@ from epiarg.inference import evaluate_episodes, prototype_sets, run_episode
 from epiarg.sampler import SamplerConfig, generate_episode_set
 from epiarg.seeds import substream
 from epiarg.synthetic import separable_corpus, synthetic_corpus
-from epiarg.trainer import initialize_params
 from test_evaluation import as_strings, oracle_counts, oracle_fp_fn
 
 ENCODER = EncoderConfig(d_emb=8, d_model=8, radius=1, n_buckets=256, chunk_length=64, init_scale=0.3)
@@ -513,13 +510,34 @@ def trainer_imports(source: str) -> list[str]:
     return found
 
 
-def test_inference_takes_only_model_params_from_trainer():
-    """Evaluation lowers its episodes itself; training's lowering stays training's."""
-    assert trainer_imports(Path(inference.__file__).read_text(encoding="utf-8")) == ["ModelParams"]
+def test_inference_imports_nothing_from_trainer():
+    """Evaluation lowers its episodes itself and takes its parameters from the encoder, so training can
+    import evaluation with no cycle."""
+    assert trainer_imports(Path(inference.__file__).read_text(encoding="utf-8")) == []
     # The scan sees each way of importing from the trainer, also inside a function.
     source = "from .trainer import ModelParams, x\nfrom . import trainer\ndef f():\n    import epiarg.trainer\n"
     assert trainer_imports(source) == ["ModelParams", "x", "trainer", "epiarg.trainer"]
     assert trainer_imports("from .heads import io_labels\nfrom . import heads\nimport epiarg.heads") == []
+
+
+def function_imports(source: str) -> list[str]:
+    """The name and line of each function in ``source`` with an import in its body."""
+    return [
+        f"{node.name}:{inner.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    ]
+
+
+def test_no_module_imports_inside_a_function():
+    """Each module's dependencies are at its top, where a cycle fails at import."""
+    package = Path(inference.__file__).parent
+    found = {p.name: function_imports(p.read_text(encoding="utf-8")) for p in sorted(package.glob("*.py"))}
+    assert {name: f for name, f in found.items() if f} == {}
+    source = "import os\ndef f():\n    x = 1\n    from . import y\nclass C:\n    def g(self):\n        import z\n"
+    assert function_imports(source) == ["f:4", "g:7"]
 
 
 def test_inference_encodes_with_embed_tokens_only():

@@ -11,7 +11,15 @@ import pytest
 import epiarg.inference
 import epiarg.trainer
 from epiarg.corpus import compute_split
-from epiarg.encoder import EncoderConfig, chunk_document, embed_tokens, encode_docs, window_means_backward
+from epiarg.encoder import (
+    EncoderConfig,
+    chunk_document,
+    embed_tokens,
+    encode_docs,
+    initialize_params,
+    window_means_backward,
+)
+from epiarg.formats import Checkpoint, load_checkpoint, save_checkpoint
 from epiarg.heads import (
     EmptyClassError,
     HeadConfig,
@@ -31,7 +39,6 @@ from epiarg.seeds import substream
 from epiarg.synthetic import separable_corpus
 from epiarg.trainer import (
     AdamState,
-    Checkpoint,
     EpisodeTensors,
     Gradients,
     NumericalError,
@@ -41,9 +48,6 @@ from epiarg.trainer import (
     episode_loss,
     episode_tensors,
     forward_backward,
-    initialize_params,
-    load_checkpoint,
-    save_checkpoint,
     step,
     token_sum,
     train,
