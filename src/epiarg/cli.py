@@ -266,13 +266,13 @@ def cmd_train(cfg: RunConfig) -> None:
 
 
 def _eval_model(cfg: RunConfig):
-    """Parameters (the checkpoint when available, otherwise a seeded init) and the embedding file, if any.
-
-    Callers encode with ``params.encoder.config``: a checkpoint keeps the encoder config it was trained with.
+    """Parameters (the named checkpoint, which must exist, else out_dir's if present, else a seeded init) and the
+    embedding file, if any. Callers encode with ``params.encoder.config``: a checkpoint keeps the encoder
+    config it was trained with.
     """
     provider = None if cfg.embedding_source == "toy" else load_external_embeddings(cfg.embedding_source)
-    ckpt_path = Path(cfg.checkpoint) if cfg.checkpoint else cfg.out / "checkpoint.fdck"
-    if cfg.head.name != "baseline_no_finetune" and ckpt_path.exists():
+    ckpt_path = Path(cfg.checkpoint or cfg.out / "checkpoint.fdck")
+    if cfg.head.name != "baseline_no_finetune" and (cfg.checkpoint or ckpt_path.exists()):
         return load_checkpoint(ckpt_path).params, provider
     encoder_cfg = cfg.encoder if provider is None else replace(cfg.encoder, d_model=provider.d_model)
     return initialize_params(encoder_cfg, cfg.head, substream(cfg.seed, "init")), provider

@@ -174,6 +174,9 @@ class SplitSpec(Record):
         it must match.
         """
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+        listed = data.get("specs", []) if isinstance(data, dict) else None
+        if not (isinstance(listed, list) and all(isinstance(s, dict) for s in listed)):
+            raise SplitSpecError(f'{path} must hold a split spec object or {{"specs": [split spec objects]}}')
         if "specs" in data:
             specs = {s["name"]: s for s in data["specs"]}
             name = name or (next(iter(specs)) if len(specs) == 1 else None)

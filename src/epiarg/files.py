@@ -1,4 +1,4 @@
-"""The one file layer: each artifact is written by ``atomic_write``, each binary format read by ``read_checked``."""
+"""The one file writer: each artifact is written by ``atomic_write``, replacing its target whole or not at all."""
 
 from __future__ import annotations
 
@@ -26,17 +26,3 @@ def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-
-
-def require_bytes(handle: IO[bytes], n: int, part: str, error: type[Exception]) -> None:
-    """Raise ``error`` naming the file and ``part`` unless ``n`` bytes follow the handle's position."""
-    offset = handle.tell()
-    left = os.fstat(handle.fileno()).st_size - offset
-    if n > left:
-        raise error(f"{handle.name}: truncated {part} ({max(0, left)} of {n} bytes at offset {offset})")
-
-
-def read_checked(handle: IO[bytes], n: int, part: str, error: type[Exception]) -> bytes:
-    """The next ``n`` bytes of ``handle``; checked before reading, so a corrupt length allocates nothing."""
-    require_bytes(handle, n, part, error)
-    return handle.read(n)

@@ -1,12 +1,13 @@
 """The two binary artifacts, FDCK checkpoints and FDAE embedding files, and the rules they share: a
 magic and a u32 version, u32-length-prefixed UTF-8 names, and little-endian f32 tensors read as f64.
-Files are written through ``atomic_write``; each read is checked by ``read_checked`` before it is made.
+Files are written through ``atomic_write`` and read through ``_Reader``, the one checked reader.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 
 from .corpus import Document
 from .encoder import EmbeddingMatrix, EncoderConfig, ModelParams, ToyEncoderParams
-from .files import atomic_write, read_checked, require_bytes
+from .files import atomic_write
 
 _CKPT_MAGIC = b"FDCK"
 _CKPT_VERSION = 1
@@ -41,27 +42,37 @@ def _write_tensor(handle: IO[bytes], arr: np.ndarray) -> None:
     handle.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-@dataclass
 class _Reader:
-    """Checked reads; a short file raises ``error`` naming it and the part, between ``prefix`` and ``suffix``."""
+    """Reads of an open file whose size is read once, here. A request past that size (refused before it allocates)
+    or a read cut short while open raises ``error`` naming the file and the part between ``prefix`` and ``suffix``."""
 
-    handle: IO[bytes]
-    error: type[Exception]
-    prefix: str = ""
-    suffix: str = ""
+    def __init__(self, handle: IO[bytes], error: type[Exception], prefix: str = "", suffix: str = ""):
+        self.handle, self.error, self.prefix, self.suffix = handle, error, prefix, suffix
+        self.size = os.fstat(handle.fileno()).st_size
 
-    def read(self, n: int, part: str) -> bytes:
-        return read_checked(self.handle, n, f"{self.prefix}{part}{self.suffix}", self.error)
+    def _require(self, n: int, left: int, offset: int, part: str) -> None:
+        if n > left:
+            part = f"{self.prefix}{part}{self.suffix}"
+            raise self.error(f"{self.handle.name}: truncated {part} ({max(0, left)} of {n} bytes at offset {offset})")
+
+    def read(self, n: int, part: str, skip: bool = False) -> bytes:
+        """The next ``n`` bytes, or with ``skip`` none and the position moved past them."""
+        offset = self.handle.tell()
+        self._require(n, self.size - offset, offset, part)
+        if skip:
+            self.handle.seek(n, 1)
+            return b""
+        data = self.handle.read(n)
+        self._require(n, len(data), offset, part)
+        return data
 
     def unpack(self, fmt: str, part: str) -> tuple:
         return struct.unpack(fmt, self.read(struct.calcsize(fmt), part))
 
     def header(self, magic: bytes, version: int) -> None:
-        found = self.read(len(magic), "magic")
-        if found != magic:
+        if (found := self.read(len(magic), "magic")) != magic:
             raise self.error(f"{self.handle.name}: bad {self.prefix}magic {found!r}")
-        (found,) = self.unpack("<I", "version")
-        if found != version:
+        if (found := self.unpack("<I", "version")[0]) != version:
             raise self.error(f"{self.handle.name}: unsupported {self.prefix}version {found}")
 
     def name(self, part: str) -> str:
@@ -199,8 +210,7 @@ def load_external_embeddings(path: str | Path) -> EmbeddingProvider:
             offset = handle.tell()
             offsets[reader.name("id")] = offset
             (rows,) = reader.unpack("<Q", "row count")
-            require_bytes(handle, rows * d_model * 4, f"rows{reader.suffix}", EmbeddingFormatError)
-            handle.seek(rows * d_model * 4, 1)
+            reader.read(rows * d_model * 4, "rows", skip=True)
         if len(offsets) != doc_count:
             raise EmbeddingFormatError(f"{path}: header declares {doc_count} documents, found {len(offsets)}")
     return EmbeddingProvider(path, d_model, offsets)

@@ -373,8 +373,9 @@ def train(
         "head": head_cfg.to_dict(),
         "encoder": encoder_cfg.to_dict(),
     }
-    if train_cfg.episodes == 0:
-        return Checkpoint(params=params, config=config_echo, episode=0, history=())
+    if train_cfg.episodes == 0:  # the log, if any, is replaced by an empty one
+        with atomic_write(log_path) if log_path is not None else contextlib.nullcontext():
+            return Checkpoint(params=params, config=config_echo, episode=0, history=())
 
     train_episodes = generate_episode_set(split.train, sampler_cfg, train_cfg.episodes, label="train").episodes
     dev_episodes = generate_episode_set(

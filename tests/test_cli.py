@@ -379,6 +379,33 @@ class TestErrorPaths:
         bad.write_text(json.dumps(config))
         assert run(bad, "train") == 2
 
+    @pytest.mark.parametrize(
+        "spec", [5, "specs!", [1], {"specs": 5}, {"specs": [5]}], ids=["int", "str", "list", "specs-int", "specs-ints"]
+    )
+    def test_split_spec_file_that_is_not_objects_is_config_error(self, workspace, capsys, spec):
+        """A split-spec file whose top level is not an object, or whose ``specs`` is not a list of objects,
+        ends ``split`` with ``code=2`` naming the file, not a traceback."""
+        tmp_path, config_path, _ = workspace
+        (tmp_path / "splits.json").write_text(json.dumps(spec))
+        assert run(config_path, "split") == 2
+        assert capsys.readouterr().err.startswith(f"error code=2 kind=config: {tmp_path / 'splits.json'} must hold ")
+
+    @pytest.mark.parametrize("command", ["eval", "export-prototypes", "export-embeddings"])
+    def test_named_checkpoint_must_exist(self, workspace, capsys, command):
+        """A ``checkpoint`` the config names but that does not exist is a config error naming it, not a silent
+        seeded init; ``baseline_no_finetune`` takes no checkpoint and still runs."""
+        tmp_path, _, config = workspace
+        missing = tmp_path / "no_such.fdck"
+        named = tmp_path / "named.json"
+        named.write_text(json.dumps(dict(config, checkpoint=str(missing))))
+        assert run(named, "split") == 0
+        assert run(named, "sample") == 0
+        capsys.readouterr()
+        assert run(named, command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error code=2 kind=config: ") and str(missing) in err
+        assert run(named, command, "--head", "baseline_no_finetune") == 0
+
     def test_module_entrypoint(self, workspace):
         _, config_path, _ = workspace
         proc = subprocess.run(

@@ -1,9 +1,11 @@
-"""The two binary formats: their bytes are pinned, and a checkpoint without a part names it."""
+"""The two binary formats: their bytes are pinned, a checkpoint without a part names it, and one checked
+reader reads each file's size once per open and reports a file cut while open by its part."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import struct
 
@@ -11,7 +13,15 @@ import numpy as np
 import pytest
 
 from epiarg.encoder import EmbeddingMatrix, EncoderConfig, ModelParams, ToyEncoderParams
-from epiarg.formats import Checkpoint, load_checkpoint, save_checkpoint, write_external_embeddings
+from epiarg.formats import (
+    Checkpoint,
+    EmbeddingFormatError,
+    _Reader,
+    load_checkpoint,
+    load_external_embeddings,
+    save_checkpoint,
+    write_external_embeddings,
+)
 
 CONFIG = EncoderConfig(d_emb=2, d_model=3, radius=1, n_buckets=4, chunk_length=8)
 
@@ -79,3 +89,40 @@ def test_checkpoint_with_a_part_of_another_type_names_the_file(tmp_path, meta):
     path.write_bytes(fdck_bytes(meta if isinstance(meta, list) else {**full, **meta}, tensors))
     with pytest.raises(ValueError, match=re.escape(f"{path}: malformed checkpoint meta: ")):
         load_checkpoint(path)
+
+
+def test_each_open_reads_the_size_once(tmp_path, monkeypatch):
+    """Opening an embedding file of many documents, loading a checkpoint and each ``get`` call ``os.fstat``
+    once apiece."""
+    mats = [EmbeddingMatrix(f"d{i}", np.full((3, 4), float(i))) for i in range(50)]
+    write_external_embeddings(mats, tmp_path / "e.fdae")
+    save_checkpoint(small_checkpoint(), tmp_path / "c.fdck")
+    calls = []
+    real_fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: calls.append(fd) or real_fstat(fd))
+    provider = load_external_embeddings(tmp_path / "e.fdae")
+    assert len(calls) == 1
+    load_checkpoint(tmp_path / "c.fdck")
+    assert len(calls) == 2
+    for mat in mats[:3]:
+        provider.get(mat.doc_id)
+    assert len(calls) == 5
+
+
+def test_file_cut_while_open_names_the_part(tmp_path):
+    """A file cut between two reads of one reader is reported as a truncated part, like a file that was
+    short when opened. The rows are larger than the read buffer, so the cut is seen by the read itself."""
+    path = tmp_path / "e.fdae"
+    write_external_embeddings([EmbeddingMatrix("d0", np.ones((1000, 8)))], path)
+    with open(path, "rb") as handle:
+        reader = _Reader(handle, EmbeddingFormatError, suffix=" of document 0")
+        reader.header(b"FDAE", 1)
+        reader.unpack("<IQ", "dimension and count")
+        assert reader.name("id") == "d0"
+        (rows,) = reader.unpack("<Q", "row count")
+        os.truncate(path, handle.tell() + 100)
+        with pytest.raises(EmbeddingFormatError) as err:
+            reader.tensor((rows, 8), "rows")
+    message = str(err.value)
+    assert message.startswith(f"{path}: truncated rows of document 0 (")
+    assert re.search(r"\(\d+ of 32000 bytes at offset \d+\)$", message)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -538,6 +539,34 @@ def test_no_module_imports_inside_a_function():
     assert {name: f for name, f in found.items() if f} == {}
     source = "import os\ndef f():\n    x = 1\n    from . import y\nclass C:\n    def g(self):\n        import z\n"
     assert function_imports(source) == ["f:4", "g:7"]
+
+
+def binary_reads(source: str) -> list[str]:
+    """Each place in ``source`` that calls ``os.fstat`` or opens a file with a literal mode that reads bytes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "fstat" and isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+            found.append(f"line {node.lineno}: os.fstat")
+        elif name == "open":
+            args = node.args + [k.value for k in node.keywords if k.arg == "mode"]
+            modes = [a.value for a in args if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+            if any(re.fullmatch(r"[rwxabt+]{1,3}", mode) and {"r", "b"} <= set(mode) for mode in modes):
+                found.append(f"line {node.lineno}: open for reading bytes")
+    return found
+
+
+def test_only_the_formats_module_reads_binary_files():
+    """The checked reader, which reads a file's size once per open, has one home: ``epiarg.formats``."""
+    package = Path(inference.__file__).parent
+    found = {p.name: binary_reads(p.read_text(encoding="utf-8")) for p in sorted(package.glob("*.py"))}
+    assert {name: f for name, f in found.items() if f and name != "formats.py"} == {}
+    assert [f.split(": ")[1] for f in found["formats.py"]].count("os.fstat") == 1
+    source = 'os.fstat(3)\nopen(p, "rb")\np.open(mode="br")\nopen(p, "r+b")\nopen(p)\nopen(p, "wb")\nopen("br.bin")\nfstat(3)'
+    assert [f.split(": ")[0] for f in binary_reads(source)] == ["line 1", "line 2", "line 3", "line 4"]
 
 
 def test_inference_encodes_with_embed_tokens_only():

@@ -603,6 +603,17 @@ class TestTrainLoop:
                                   [t for d in split.train for t in d.tokens])
         np.testing.assert_array_equal(ckpt.params.encoder.table, fresh.encoder.table)
 
+    def test_zero_episodes_replaces_the_log_with_an_empty_one(self, tmp_path):
+        """A zero-episode run leaves no earlier run's log beside its checkpoint, and no temporary file."""
+        split = self._split()
+        sampler_cfg, train_cfg, encoder_cfg = self._cfgs(2)
+        log_path = tmp_path / "train_log.jsonl"
+        train(split, sampler_cfg, train_cfg, HeadConfig("protonet"), encoder_cfg, log_path=log_path)
+        assert len(log_path.read_text().splitlines()) == 2
+        train(split, sampler_cfg, replace(train_cfg, episodes=0), HeadConfig("protonet"), encoder_cfg, log_path=log_path)
+        assert log_path.read_bytes() == b""
+        assert [p.name for p in tmp_path.iterdir()] == ["train_log.jsonl"]
+
     def test_same_seed_identical_parameters(self):
         split = self._split()
         sampler_cfg, train_cfg, encoder_cfg = self._cfgs(6, seed=4)
