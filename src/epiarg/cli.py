@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .corpus import (
+    POOL_NAMES,
     Corpus,
     CorpusFormatError,
     SplitCorpus,
@@ -53,8 +54,6 @@ from .sampler import (
 )
 from .seeds import substream
 from .trainer import NumericalError, TrainConfig, train
-
-_POOLS = ("train", "dev", "test")
 
 
 def _int_field(data: dict, name: str, default: int, section: str | None = None) -> int:
@@ -200,17 +199,12 @@ def cmd_split(cfg: RunConfig) -> None:
     spec_path = _require(cfg.split_spec, "config field 'split_spec' is required for this command")
     spec = SplitSpec.from_json(spec_path, cfg.split)
     split = compute_split(corpus, spec)
-    split = SplitCorpus(
-        train=filter_rare_types(split.train, cfg.min_count),
-        dev=filter_rare_types(split.dev, cfg.min_count),
-        test=filter_rare_types(split.test, cfg.min_count),
-    )
+    split = SplitCorpus(**{name: filter_rare_types(pool, cfg.min_count) for name, pool in split.pools().items()})
     masked, report = apply_leakage_mask(split, spec)
-    pools = masked.pools()
     pool_stats = {}
-    for name in _POOLS:
-        write_corpus(pools[name], cfg.out / f"{name}.jsonl")
-        pool_stats[name] = corpus_stats(pools[name]).to_dict()
+    for name, pool in masked.pools().items():
+        write_corpus(pool, cfg.out / f"{name}.jsonl")
+        pool_stats[name] = corpus_stats(pool).to_dict()
     _write_json(cfg.stamp({"command": "split", "removed_per_role": report}), cfg.out / "masking_report.json")
     _write_json(
         cfg.stamp({"command": "split", "split": spec.name, "pool_stats": pool_stats, "spec": spec.to_dict()}),
@@ -219,14 +213,14 @@ def cmd_split(cfg: RunConfig) -> None:
     removed = sum(report.values())
     print(
         f"split {spec.name}: "
-        + ", ".join(f"{name} {pool_stats[name]['num_docs']} docs" for name in _POOLS)
+        + ", ".join(f"{name} {stats['num_docs']} docs" for name, stats in pool_stats.items())
         + f"; masked {removed} spans across {len(report)} roles"
     )
 
 
 def cmd_sample(cfg: RunConfig) -> None:
     stats_payload = {}
-    for name in _POOLS:
+    for name in POOL_NAMES:
         count = cfg.episode_counts.get(name, 0)
         if count < 1:
             continue

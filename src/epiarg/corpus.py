@@ -15,8 +15,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from .files import atomic_write
 from .record import Record
@@ -96,6 +97,11 @@ class Document:
     def with_arguments(self, arguments: Iterable[ArgumentSpan]) -> "Document":
         return Document(self.doc_id, self.title, self.event_type, self.tokens, tuple(arguments))
 
+    def restricted_to(self, roles: Container[str]) -> "Document":
+        """The document with only its spans whose role is in ``roles``; the document itself when none is dropped."""
+        kept = tuple(span for span in self.arguments if span.role in roles)
+        return self if len(kept) == len(self.arguments) else self.with_arguments(kept)
+
 
 @dataclass(frozen=True)
 class Corpus:
@@ -134,6 +140,8 @@ class Corpus:
 
 
 SPLIT_NAMES = ("in_domain_small", "in_domain_base", "cross_domain", "custom")
+# A split's pools, in the order specs list their event types and commands write and report them.
+POOL_NAMES = ("train", "dev", "test")
 
 
 @dataclass(frozen=True)
@@ -152,19 +160,16 @@ class SplitSpec(Record):
     def __post_init__(self):
         if self.name not in SPLIT_NAMES:
             raise SplitSpecError(f"split name must be one of {SPLIT_NAMES}, got {self.name!r}")
-        pools = {
-            "train": set(self.train_event_types),
-            "dev": set(self.dev_event_types),
-            "test": set(self.test_event_types),
-        }
-        names = list(pools)
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                shared = pools[a] & pools[b]
-                if shared:
-                    raise SplitSpecError(
-                        f"split {self.name!r}: event types {sorted(shared)} appear in both {a} and {b}"
-                    )
+        for (a, listed_a), (b, listed_b) in combinations(self.pools().items(), 2):
+            shared = set(listed_a) & set(listed_b)
+            if shared:
+                raise SplitSpecError(
+                    f"split {self.name!r}: event types {sorted(shared)} appear in both {a} and {b}"
+                )
+
+    def pools(self) -> dict[str, tuple[str, ...]]:
+        """Each pool's listed event types, by pool name."""
+        return {pool: getattr(self, f"{pool}_event_types") for pool in POOL_NAMES}
 
     @classmethod
     def from_json(cls, path: str | Path, name: str | None = None) -> "SplitSpec":
@@ -178,7 +183,14 @@ class SplitSpec(Record):
         if not (isinstance(listed, list) and all(isinstance(s, dict) for s in listed)):
             raise SplitSpecError(f'{path} must hold a split spec object or {{"specs": [split spec objects]}}')
         if "specs" in data:
-            specs = {s["name"]: s for s in data["specs"]}
+            specs: dict[str, dict] = {}
+            for i, entry in enumerate(listed):
+                entry_name = entry.get("name")
+                if not isinstance(entry_name, str):
+                    raise SplitSpecError(f"{path}: entry {i} of 'specs' needs a string field 'name'")
+                if entry_name in specs:
+                    raise SplitSpecError(f"{path}: split {entry_name!r} is listed more than once in 'specs'")
+                specs[entry_name] = entry
             name = name or (next(iter(specs)) if len(specs) == 1 else None)
             if name is None or name not in specs:
                 raise SplitSpecError(f"--split must name one of {sorted(specs)} from {path}")
@@ -198,7 +210,7 @@ class SplitCorpus:
     test: Corpus
 
     def pools(self) -> dict[str, Corpus]:
-        return {"train": self.train, "dev": self.dev, "test": self.test}
+        return {pool: getattr(self, pool) for pool in POOL_NAMES}
 
 
 @dataclass(frozen=True)
@@ -329,59 +341,34 @@ def filter_rare_types(corpus: Corpus, min_count: int) -> Corpus:
     """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
-    docs = list(corpus.documents)
     while True:
-        event_counts = Counter(doc.event_type for doc in docs)
-        role_counts: Counter = Counter()
-        for doc in docs:
-            for span in doc.arguments:
-                role_counts[span.role] += 1
+        event_counts = Counter(doc.event_type for doc in corpus)
         keep_events = {e for e, c in event_counts.items() if c >= min_count}
-        keep_roles = {r for r, c in role_counts.items() if c >= min_count}
-        next_docs = []
-        for doc in docs:
-            if doc.event_type not in keep_events:
-                continue
-            kept = tuple(s for s in doc.arguments if s.role in keep_roles)
-            if not kept:
-                continue
-            next_docs.append(doc if len(kept) == len(doc.arguments) else doc.with_arguments(kept))
-        if len(next_docs) == len(docs) and all(a is b for a, b in zip(next_docs, docs)):
-            return Corpus(tuple(next_docs))
-        docs = next_docs
+        keep_roles = {r for r, c in corpus.role_counts().items() if c >= min_count}
+        views = (doc.restricted_to(keep_roles) for doc in corpus if doc.event_type in keep_events)
+        kept = tuple(view for view in views if view.arguments)
+        if len(kept) == len(corpus) and all(a is b for a, b in zip(kept, corpus)):
+            return corpus
+        corpus = Corpus(kept)
 
 
 def compute_split(corpus: Corpus, spec: SplitSpec) -> SplitCorpus:
     """Assign every document to one pool by its event type."""
     present = corpus.event_types
-    for pool_name, listed in (
-        ("train", spec.train_event_types),
-        ("dev", spec.dev_event_types),
-        ("test", spec.test_event_types),
-    ):
+    pools: dict[str, list[Document]] = {}
+    pool_of: dict[str, list[Document]] = {}
+    for pool, listed in spec.pools().items():
         missing = set(listed) - present
         if missing:
             raise SplitSpecError(
-                f"split {spec.name!r}: {pool_name} event types {sorted(missing)} absent from corpus"
+                f"split {spec.name!r}: {pool} event types {sorted(missing)} absent from corpus"
             )
-    assignment = {}
-    for name, listed in (
-        ("train", spec.train_event_types),
-        ("dev", spec.dev_event_types),
-        ("test", spec.test_event_types),
-    ):
-        for event_type in listed:
-            assignment[event_type] = name
-    pools: dict[str, list[Document]] = {"train": [], "dev": [], "test": []}
+        pools[pool] = []
+        pool_of.update(dict.fromkeys(listed, pools[pool]))
     for doc in corpus:
-        pool = assignment.get(doc.event_type)
-        if pool is not None:
-            pools[pool].append(doc)
-    return SplitCorpus(
-        train=Corpus(tuple(pools["train"])),
-        dev=Corpus(tuple(pools["dev"])),
-        test=Corpus(tuple(pools["test"])),
-    )
+        if doc.event_type in pool_of:
+            pool_of[doc.event_type].append(doc)
+    return SplitCorpus(**{pool: Corpus(tuple(docs)) for pool, docs in pools.items()})
 
 
 def apply_leakage_mask(split: SplitCorpus, spec: SplitSpec) -> tuple[SplitCorpus, dict[str, int]]:
@@ -400,17 +387,10 @@ def apply_leakage_mask(split: SplitCorpus, spec: SplitSpec) -> tuple[SplitCorpus
     removed: Counter = Counter()
 
     def mask_pool(pool: Corpus, mask_frequent: bool) -> Corpus:
-        masked_docs = []
-        for doc in pool:
-            kept = []
-            for span in doc.arguments:
-                drop = span.role in train_roles or (mask_frequent and span.role in spec.frequent_roles)
-                if drop:
-                    removed[span.role] += 1
-                else:
-                    kept.append(span)
-            masked_docs.append(doc if len(kept) == len(doc.arguments) else doc.with_arguments(kept))
-        return Corpus(tuple(masked_docs))
+        keep = pool.arg_types - train_roles - set(spec.frequent_roles if mask_frequent else ())
+        masked_pool = Corpus(tuple(doc.restricted_to(keep) for doc in pool))
+        removed.update(pool.role_counts() - masked_pool.role_counts())
+        return masked_pool
 
     masked = SplitCorpus(
         train=split.train,

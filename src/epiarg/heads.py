@@ -383,8 +383,11 @@ def kmeans_nota(
     """Lloyd's algorithm with k-means++ style seeding over the O-token embeddings.
 
     Stops when assignments stabilize or after ``max_iters``; inertia is
-    non-increasing across iterations. Requires at least ``k`` points.
+    non-increasing across iterations. Requires at least ``k`` points, and a
+    seed or a generator: ``None`` would draw from OS entropy.
     """
+    if seed is None:
+        raise ValueError("k-means needs an integer seed or a generator, got None")
     points = np.asarray(o_embeddings, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("o_embeddings must be a 2-D matrix")

@@ -173,11 +173,6 @@ def _query_candidates(index: PoolIndex, active: Iterable[str], support: set[int]
     return sorted(eligible - support)
 
 
-def _episode_view(doc: Document, active: frozenset[str]) -> Document:
-    kept = tuple(s for s in doc.arguments if s.role in active)
-    return doc if len(kept) == len(doc.arguments) else doc.with_arguments(kept)
-
-
 def sample_episode(
     pool: Corpus | PoolIndex,
     cfg: SamplerConfig,
@@ -219,13 +214,11 @@ def sample_episode(
         if len(eligible) < cfg.query_size:
             continue
         query_idx = [int(i) for i in rng.choice(len(eligible), size=cfg.query_size, replace=False)]
-        active = tuple(sorted(roles))
-        active_set = frozenset(active)
         return Episode(
             episode_id=episode_id,
-            active_types=active,
-            support=tuple(_episode_view(index.docs[i], active_set) for i in support_idx),
-            query=tuple(_episode_view(index.docs[eligible[i]], active_set) for i in query_idx),
+            active_types=tuple(sorted(roles)),
+            support=tuple(index.docs[i].restricted_to(roles) for i in support_idx),
+            query=tuple(index.docs[eligible[i]].restricted_to(roles) for i in query_idx),
         )
     raise InfeasibleSamplingError(
         f"exhausted the draw budget without an episode satisfying "

@@ -195,8 +195,8 @@ def forward_backward(
 
     The forward pass runs the evaluation kernels of ``heads``; only the
     backward maths lives here. For MNAV the NOTA centroids are recomputed by
-    k-means inside the forward pass (or taken from ``fixed_nota``) and treated
-    as constants: gradients flow through the type prototypes and the query
+    k-means seeded by ``nota_rng`` inside the forward pass (or taken from
+    ``fixed_nota``) and treated as constants: gradients flow through the type prototypes and the query
     embeddings only. The support documents, then the query documents, go
     through one stacked encoder forward and its mirror, one backward over the
     same stack; each product that sums over token rows is a ``token_sum``.

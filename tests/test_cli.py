@@ -390,6 +390,25 @@ class TestErrorPaths:
         assert run(config_path, "split") == 2
         assert capsys.readouterr().err.startswith(f"error code=2 kind=config: {tmp_path / 'splits.json'} must hold ")
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([{}], "entry 0 of 'specs' needs a string field 'name'"),
+            ([{"name": 5}], "entry 0 of 'specs' needs a string field 'name'"),
+            (["spec", "spec"], "split 'custom' is listed more than once in 'specs'"),
+        ],
+        ids=["nameless", "int-name", "repeated"],
+    )
+    def test_split_spec_list_needs_unique_names(self, workspace, capsys, entries, message):
+        """A ``specs`` entry without a string ``name``, or two entries with one name, end ``split`` with
+        ``code=2`` naming the file; a repeated name does not silently select its last entry."""
+        tmp_path, config_path, _ = workspace
+        path = tmp_path / "splits.json"
+        spec = json.loads(path.read_text())
+        path.write_text(json.dumps({"specs": [spec if entry == "spec" else entry for entry in entries]}))
+        assert run(config_path, "split") == 2
+        assert capsys.readouterr().err == f"error code=2 kind=config: {path}: {message}\n"
+
     @pytest.mark.parametrize("command", ["eval", "export-prototypes", "export-embeddings"])
     def test_named_checkpoint_must_exist(self, workspace, capsys, command):
         """A ``checkpoint`` the config names but that does not exist is a config error naming it, not a silent

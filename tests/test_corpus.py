@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter
 
@@ -10,6 +11,7 @@ from epiarg.corpus import (
     Corpus,
     CorpusFormatError,
     Document,
+    SplitCorpus,
     SplitSpec,
     SplitSpecError,
     apply_leakage_mask,
@@ -20,6 +22,7 @@ from epiarg.corpus import (
     span_from_chars,
     write_corpus,
 )
+from epiarg.sampler import SamplerConfig, generate_episode_set, write_episodes
 from epiarg.synthetic import synthetic_corpus, three_way_specs
 
 
@@ -351,3 +354,28 @@ class TestStats:
         assert stats.num_arg_types == 2
         assert stats.arg_instances == 3
         assert stats.tokens_per_doc == pytest.approx(20.0)
+
+
+def test_golden_bytes(tmp_path):
+    """SHA-256 of what the data protocol writes pins it: the three pool files after splitting, rare-type
+    filtering (which drops documents here) and leakage masking, the masking report, and a balanced 3w2d
+    episode set drawn from the masked test pool."""
+    corpus = synthetic_corpus(seed=7, n_docs=80, shared_pool=80)
+    spec = three_way_specs(corpus, seed=7)["in_domain_small"]
+    split = compute_split(corpus, spec)
+    split = SplitCorpus(**{name: filter_rare_types(pool, 3) for name, pool in split.pools().items()})
+    masked, report = apply_leakage_mask(split, spec)
+    for name, pool in masked.pools().items():
+        write_corpus(pool, tmp_path / f"{name}.jsonl")
+    (tmp_path / "report.json").write_text(json.dumps(report, sort_keys=True))
+    episodes = generate_episode_set(masked.test, SamplerConfig(3, 2, seed=7), 12, balance=True, label="test")
+    write_episodes(episodes, tmp_path / "episodes.jsonl")
+    names = ("train.jsonl", "dev.jsonl", "test.jsonl", "report.json", "episodes.jsonl")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names}
+    assert digests == {
+        "train.jsonl": "6c6c943f392d6320f55bc16388c234f93deb7ecbc2b9e8302be1e6186480ad71",
+        "dev.jsonl": "d9b742e23570e6a6a87657e047fe9d771f40a04a3b628e34d58c8bc6a8ffacf4",
+        "test.jsonl": "302a386b95f40d57d8d2550d71d7dda3b83f040fa83ce240dfd04ffcb1a82e2b",
+        "report.json": "a57f4eefbe63fa677c59c90ba23f70f235339ef8c529235a5cb1050b5050d031",
+        "episodes.jsonl": "f4fcbedfb8ec06353bb65a45915618cd48df3fcf244d94ac73ccc8cdc1c23d57",
+    }

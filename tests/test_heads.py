@@ -462,6 +462,11 @@ class TestKMeans:
         with pytest.raises(EmptyClassError):
             kmeans_nota(np.zeros((3, 2)), k=4, seed=0)
 
+    def test_seed_is_required(self):
+        """``None`` would seed from OS entropy, and MNAV training without a NOTA stream would vary between calls."""
+        with pytest.raises(ValueError, match="seed or a generator, got None"):
+            kmeans_nota(np.zeros((4, 2)), k=2, seed=None)
+
 
 class TestMNAV:
     def test_k1_reduces_to_protonet(self):

@@ -569,6 +569,34 @@ def test_only_the_formats_module_reads_binary_files():
     assert [f.split(": ")[0] for f in binary_reads(source)] == ["line 1", "line 2", "line 3", "line 4"]
 
 
+def callers_of(source: str, method: str) -> set[str]:
+    """The name of the innermost function around each call of ``method`` on some object in ``source``;
+    ``<module>`` for a call outside every function."""
+    found = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == method:
+                found.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_the_role_restriction_calls_with_arguments():
+    """Keeping a document's spans of some roles has one home, ``Document.restricted_to``: rare-type filtering,
+    leakage masking and episode views all go through it."""
+    package = Path(inference.__file__).parent
+    found = {p.name: callers_of(p.read_text(encoding="utf-8"), "with_arguments") for p in sorted(package.glob("*.py"))}
+    assert {name: f for name, f in found.items() if f} == {"corpus.py": {"restricted_to"}}
+    source = "def f(d):\n    def g():\n        return d.with_arguments(())\n    return g\nd.with_arguments(())\nwith_arguments(d)"
+    assert callers_of(source, "with_arguments") == {"g", "<module>"}
+
+
 def test_inference_encodes_with_embed_tokens_only():
     """Evaluation encodes each document with ``embed_tokens``; the stacked forward is training's."""
     tree = ast.parse(Path(inference.__file__).read_text(encoding="utf-8"))
