@@ -117,7 +117,12 @@ class RunConfig:
                 raise ValueError(f"config {path} must hold a JSON object, got a {type(data).__name__}")
         defaults = cls()
         counts = _section(data, "episode_counts")
-        counts = {pool: _int_field(counts, pool, 0, "episode_counts") for pool in counts}
+        for pool in counts:
+            if pool not in POOL_NAMES:
+                raise ValueError(f"config field 'episode_counts' must be keyed by {', '.join(POOL_NAMES)}, got {pool!r}")
+            counts[pool] = _int_field(counts, pool, 0, "episode_counts")
+            if counts[pool] < 0:  # 0 skips the pool in `sample`; so would a negative count, silently
+                raise ValueError(f"config field 'episode_counts' must be at least 0 for {pool!r}, got {counts[pool]}")
         cfg = cls(
             corpus=_str_field(data, "corpus", defaults.corpus),
             split_spec=_str_field(data, "split_spec", defaults.split_spec),

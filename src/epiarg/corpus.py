@@ -240,11 +240,13 @@ def span_from_chars(char_start: int, char_end: int, token_offsets: Sequence[tupl
     return ArgumentSpan(covered[0], covered[-1] + 1, role)
 
 
-def document_from_record(record: dict, line: int | None = None) -> Document:
+def document_from_record(record: dict, strings: dict[str, str], line: int | None = None) -> Document:
     """Build a validated Document from one parsed JSON record.
 
     The record must be an object; ``doc_id``, ``title``, ``event_type`` and each role must be
     strings, ``arguments`` a list, and each offset a JSON integer (not a boolean, fraction or string).
+    Each token is replaced by its entry in ``strings``, which gains the tokens it lacks: a reader
+    passes one table for a whole file, so every occurrence of a word shares one ``str``.
     """
     if not isinstance(record, dict):
         raise CorpusFormatError(f"a document must be a JSON object, got {record!r}", line)
@@ -277,7 +279,7 @@ def document_from_record(record: dict, line: int | None = None) -> Document:
         except CorpusFormatError as exc:
             raise CorpusFormatError(f"document {doc_id!r}: {exc}", line) from exc
     try:
-        return Document(doc_id, title, event_type, tuple(tokens), tuple(spans))
+        return Document(doc_id, title, event_type, tuple(map(strings.setdefault, tokens, tokens)), tuple(spans))
     except CorpusFormatError as exc:
         raise CorpusFormatError(str(exc), line) from exc
 
@@ -316,8 +318,9 @@ def parse_corpus(path: str | Path) -> Corpus:
     """
     documents = []
     first_line: dict[str, int] = {}
+    strings: dict[str, str] = {}
     for line_no, record in read_json_lines(path):
-        doc = document_from_record(record, line_no)
+        doc = document_from_record(record, strings, line_no)
         first = first_line.setdefault(doc.doc_id, line_no)
         if first != line_no:
             raise CorpusFormatError(f"duplicate doc_id {doc.doc_id!r}, first on line {first}", line_no)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -93,10 +93,7 @@ class ToyEncoderParams:
         """Uniform init in [-init_scale, init_scale]; vocabulary rows assigned in first-seen order."""
         table = rng.uniform(-config.init_scale, config.init_scale, size=(config.n_buckets, config.d_emb))
         projection = rng.uniform(-config.init_scale, config.init_scale, size=(config.d_emb, config.d_model))
-        vocab: dict[str, int] = {}
-        for token in vocab_tokens:
-            if token not in vocab and len(vocab) < config.n_buckets:
-                vocab[token] = len(vocab)
+        vocab = {token: row for row, token in enumerate(islice(dict.fromkeys(vocab_tokens), config.n_buckets))}
         return cls(config=config, vocab=vocab, table=table, projection=projection)
 
     def bucket_indices(self, tokens: Sequence[str]) -> np.ndarray:
@@ -129,7 +126,7 @@ def initialize_params(
     encoder_cfg: EncoderConfig,
     head_cfg: HeadConfig,
     rng: np.random.Generator,
-    vocab_tokens: Sequence[str] = (),
+    vocab_tokens: Iterable[str] = (),
 ) -> ModelParams:
     encoder = ToyEncoderParams.initialize(encoder_cfg, rng, vocab_tokens)
     reducer = None

@@ -337,6 +337,7 @@ def write_episodes(episodes: EpisodeSet | Sequence[Episode], path: str | Path) -
 def read_episodes(path: str | Path) -> list[Episode]:
     """Read episodes written by ``write_episodes``; a malformed line is a ``CorpusFormatError`` naming it."""
     episodes = []
+    strings: dict[str, str] = {}
     for line_no, record in read_json_lines(path):
         if not isinstance(record, dict):
             raise CorpusFormatError(f"an episode must be a JSON object, got {record!r}", line_no)
@@ -350,6 +351,8 @@ def read_episodes(path: str | Path) -> list[Episode]:
                 raise CorpusFormatError(f"missing field {name!r}", line_no)
             if not valid(record[name]):
                 raise CorpusFormatError(f"{name} must be {kind}, got {record[name]!r}", line_no)
-        support, query = (tuple(document_from_record(r, line_no) for r in record[side]) for side in ("support", "query"))
+        support, query = (
+            tuple(document_from_record(r, strings, line_no) for r in record[side]) for side in ("support", "query")
+        )
         episodes.append(Episode(record["episode_id"], tuple(record["active_types"]), support, query))
     return episodes

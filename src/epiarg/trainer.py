@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -261,18 +262,35 @@ def forward_backward(
 
 
 class AdamState:
-    """AdamW moments; ``seen`` lists the table rows whose moments may be non-zero."""
+    """AdamW moments, and two scratch arrays per parameter array for the steps that update it whole;
+    ``seen`` lists the table rows whose moments may be non-zero."""
 
     def __init__(self, params: ModelParams):
         self.t = 0
         self.m = {k: np.zeros(v.shape) for k, v in params.arrays().items()}
         self.v = {k: np.zeros(v.shape) for k, v in params.arrays().items()}
+        # Kept across steps, so whole-array steps fault no pages in again; np.empty writes nothing, so an
+        # array that is never updated whole never makes its scratch resident.
+        self._scratch = {k: (np.empty(v.shape), np.empty(v.shape)) for k, v in params.arrays().items()}
         self.seen = np.empty(0, dtype=np.int64)
 
+    def scratch(self, name: str, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Two scratch arrays shaped like the gradient ``g`` of array ``name``: the kept ones when ``g``
+        covers the array whole, else new ones. Gathered rows are new arrays every step, like their
+        gradient and moment copies; kept scratch for them would stay resident between steps."""
+        kept = self._scratch[name]
+        return kept if kept[0].shape == g.shape else (np.empty_like(g), np.empty_like(g))
 
-def clip_global_norm(arrays: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradient arrays in place so their joint L2 norm is at most ``max_norm``."""
-    norm = float(np.sqrt(sum(float(np.square(a).sum()) for a in arrays.values())))
+
+def clip_global_norm(
+    arrays: dict[str, np.ndarray], max_norm: float, squares: dict[str, np.ndarray] | None = None
+) -> float:
+    """Scale all gradient arrays in place so their joint L2 norm is at most ``max_norm``.
+
+    ``squares``, when given, maps each name to an array of that gradient's shape that takes its squares.
+    """
+    squares = squares or {}
+    norm = float(np.sqrt(sum(float(np.square(a, out=squares.get(k)).sum()) for k, a in arrays.items())))
     if not np.isfinite(norm):
         raise NumericalError(f"non-finite gradient norm {norm!r}")
     if norm > max_norm and norm > 0:
@@ -292,12 +310,18 @@ def apply_update(
     """Global-norm clip followed by one SGD or AdamW update, in place; returns the pre-clip norm.
 
     ``rows`` maps an array name to the row indices to update; ``grads`` then holds the
-    gradient of exactly those rows. Arrays not named are updated whole.
+    gradient of exactly those rows. Arrays not named are updated whole. AdamW computes
+    in its state's scratch arrays, one numpy operation at a time in the order of
+    ``(m / bias1) / (sqrt(v / bias2) + eps) + weight_decay * p``, so every bit is that
+    expression's.
     """
     rows = rows or {}
-    norm = clip_global_norm(grads, cfg.grad_clip_norm)
+    scratch = {}
     if cfg.optimizer == "adamw":
         assert state is not None, "adamw requires optimizer state"
+        scratch = {name: state.scratch(name, g) for name, g in grads.items()}
+    norm = clip_global_norm(grads, cfg.grad_clip_norm, {name: a for name, (a, _) in scratch.items()})
+    if cfg.optimizer == "adamw":
         state.t += 1
         bias1 = 1.0 - _ADAM_BETA1**state.t
         bias2 = 1.0 - _ADAM_BETA2**state.t
@@ -311,14 +335,16 @@ def apply_update(
         else:
             m = state.m[name][index]
             v = state.v[name][index]
+            a, update = scratch[name]
             m *= _ADAM_BETA1
-            m += (1.0 - _ADAM_BETA1) * g
+            m += np.multiply(g, 1.0 - _ADAM_BETA1, out=a)
             v *= _ADAM_BETA2
-            v += (1.0 - _ADAM_BETA2) * np.square(g)
-            update = (m / bias1) / (np.sqrt(v / bias2) + _ADAM_EPS)
+            v += np.multiply(np.square(g, out=a), 1.0 - _ADAM_BETA2, out=a)
+            np.add(np.sqrt(np.divide(v, bias2, out=a), out=a), _ADAM_EPS, out=a)
+            np.divide(np.divide(m, bias1, out=update), a, out=update)
             if cfg.weight_decay:
-                update = update + cfg.weight_decay * p
-            p -= cfg.learning_rate * update
+                update += np.multiply(p, cfg.weight_decay, out=a)
+            p -= np.multiply(update, cfg.learning_rate, out=update)
         if not isinstance(index, slice):  # fancy indexing gathered copies; scatter them back
             arrays[name][index] = p
             if cfg.optimizer == "adamw":
@@ -365,7 +391,7 @@ def train(
     or the final parameters when no validation ever ran.
     The log at ``log_path``, one JSON line per episode, replaces the previous log once training completes.
     """
-    vocab_tokens = [t for doc in split.train for t in doc.tokens]
+    vocab_tokens = chain.from_iterable(doc.tokens for doc in split.train)
     params = initialize_params(encoder_cfg, head_cfg, substream(train_cfg.seed, "init"), vocab_tokens)
     config_echo = {
         "sampler": sampler_cfg.to_dict(),

@@ -268,6 +268,28 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith(f"error code=2 kind=config: config field '{field}' must be ")
 
+    @pytest.mark.parametrize("counts, named", [({"trian": 5}, "got 'trian'"), ({"test": -3}, "for 'test', got -3")])
+    def test_bad_episode_count_is_config_error_naming_its_key(self, workspace, capsys, counts, named):
+        """A key that is not a pool would leave that pool at its default count, and a negative count
+        would skip the pool as 0 does; both are refused before any command runs."""
+        tmp_path, _, config = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(config, episode_counts=counts)))
+        assert run(bad, "sample") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error code=2 kind=config: config field 'episode_counts' must be ")
+        assert err.rstrip().endswith(named)
+
+    def test_zero_episode_count_skips_its_pool(self, workspace):
+        tmp_path, _, config = workspace
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(dict(config, episode_counts={"train": 6, "dev": 0, "test": 4})))
+        assert run(path, "split") == 0
+        assert run(path, "sample") == 0
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.glob("episodes_*.jsonl")) == ["episodes_test.jsonl", "episodes_train.jsonl"]
+        assert sorted(json.loads((out / "episode_stats.json").read_text())["stats"]) == ["test", "train"]
+
     def test_non_object_config_is_config_error(self, workspace, capsys):
         tmp_path, _, _ = workspace
         bad = tmp_path / "bad.json"

@@ -97,6 +97,7 @@ class TestParsing:
             ({"doc_id": 5}, "field 'doc_id' must be a string"),
             ({"title": ["t"]}, "field 'title' must be a string"),
             ({"event_type": None}, "field 'event_type' must be a string"),
+            ({"tokens": ["a", 5, "c"]}, "tokens must be a list of strings"),
             ({"arguments": 5}, "arguments must be a list"),
             ({"arguments": [{"start": 0, "end": 1, "role": 7}]}, "malformed argument record"),
             ({"arguments": [{"start": True, "end": 2, "role": "R"}]}, "malformed argument record"),
@@ -104,7 +105,7 @@ class TestParsing:
             ({"arguments": [{"start": 0.9, "end": 2, "role": "R"}]}, "malformed argument record"),
             ({"arguments": [{"start": "0", "end": 2, "role": "R"}]}, "malformed argument record"),
         ],
-        ids=["list", "doc_id-int", "title-list", "event_type-null", "arguments-int", "role-int", "start-true",
+        ids=["list", "doc_id-int", "title-list", "event_type-null", "token-int", "arguments-int", "role-int", "start-true",
              "end-fraction", "start-fraction", "start-str"],
     )
     def test_malformed_record_rejected_with_line_number(self, tmp_path, line, match):
@@ -141,6 +142,9 @@ class TestParsing:
         write_corpus(corpus, path)
         again = parse_corpus(path)
         assert again == corpus
+        # every occurrence of a word in the file is one str object
+        tokens = [t for doc in again for t in doc.tokens]
+        assert len({id(t) for t in tokens}) == len(set(tokens)) < len(tokens)
         # serialize -> parse -> serialize is byte-stable
         path2 = tmp_path / "corpus2.jsonl"
         write_corpus(again, path2)

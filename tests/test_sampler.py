@@ -150,6 +150,12 @@ class TestGenerateEpisodeSet:
         write_episodes(episodes, path)
         again = read_episodes(path)
         assert tuple(again) == episodes.episodes
+        # every occurrence of a word in the file, across episodes and sides, is one str object
+        tokens = [t for ep in again for doc in ep.support + ep.query for t in doc.tokens]
+        assert len({id(t) for t in tokens}) == len(set(tokens)) < len(tokens)
+        path2 = tmp_path / "episodes2.jsonl"
+        write_episodes(again, path2)
+        assert path2.read_bytes() == path.read_bytes()
 
 
     @pytest.mark.parametrize(
@@ -166,10 +172,11 @@ class TestGenerateEpisodeSet:
             (lambda r: {**r, "support": 5}, "support must be a list of documents"),
             (lambda r: {**r, "query": [[1, 2]]}, "a document must be a JSON object"),
             (lambda r: {**r, "support": [{**r["support"][0], "doc_id": 5}]}, "field 'doc_id' must be a string"),
+            (lambda r: {**r, "query": [{**r["query"][0], "tokens": ["a", None]}]}, "tokens must be a list of strings"),
         ],
         ids=["list", "bad-json", "no-episode_id", "no-active_types", "no-support", "no-query", "episode_id-true",
              "episode_id-list", "active_types-str",
-             "active_types-int", "support-int", "query-doc-list", "doc_id-int"],
+             "active_types-int", "support-int", "query-doc-list", "doc_id-int", "token-null"],
     )
     def test_malformed_episode_line_rejected_with_line_number(self, tmp_path, edit, match):
         """A malformed line of an episode file, or a malformed document in it, is an error naming the

@@ -433,6 +433,59 @@ class TestStep:
         assert grads.rows.size == 0
 
 
+def temporaries_adamw_update(arrays, grads, cfg, moments, rows):
+    """``apply_update``'s AdamW step written with a new array for every intermediate, as numpy evaluates
+    the expressions: the reference for the bits of the in-place step."""
+    norm = float(np.sqrt(sum(float(np.square(a).sum()) for a in grads.values())))
+    if norm > cfg.grad_clip_norm and norm > 0:
+        factor = cfg.grad_clip_norm / norm
+        for g in grads.values():
+            g *= factor
+    moments["t"] += 1
+    bias1 = 1.0 - 0.9 ** moments["t"]
+    bias2 = 1.0 - 0.999 ** moments["t"]
+    for name, g in grads.items():
+        index = rows.get(name, slice(None))
+        p, m, v = arrays[name][index], moments["m"][name][index], moments["v"][name][index]
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * np.square(g)
+        update = (m / bias1) / (np.sqrt(v / bias2) + 1e-8)
+        if cfg.weight_decay:
+            update = update + cfg.weight_decay * p
+        p -= cfg.learning_rate * update
+        arrays[name][index], moments["m"][name][index], moments["v"][name][index] = p, m, v
+    return norm
+
+
+class TestInPlaceAdamW:
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("gathered", [False, True], ids=["dense-view", "gathered-rows"])
+    def test_matches_temporaries_expression_bit_for_bit(self, gathered, weight_decay):
+        """Over several steps, some clipped and some not, on a dense view of the table or on gathered
+        rows whose set changes from step to step."""
+        params, _ = make_params(8)
+        reference = params.copy()
+        cfg = TrainConfig(episodes=1, validate_every=1, learning_rate=0.05, weight_decay=weight_decay)
+        state = AdamState(params)
+        moments = {"t": 0, **{key: {k: np.zeros_like(v) for k, v in params.arrays().items()} for key in "mv"}}
+        rng = substream(8, "adam-steps")
+        n_rows = params.encoder.table.shape[0]
+        for i, scale in enumerate([1.0, 0.01, 3.0, 0.02, 1.0, 0.5]):
+            index = np.unique(rng.integers(n_rows, size=12)) if gathered else slice(None)
+            table = params.encoder.table[index]
+            grads = {name: scale * rng.normal(size=arr.shape) for name, arr in dict(params.arrays(), table=table).items()}
+            ref_grads = {name: g.copy() for name, g in grads.items()}
+            norm = apply_update(params.arrays(), grads, cfg, state, {"table": index})
+            assert norm == temporaries_adamw_update(reference.arrays(), ref_grads, cfg, moments, {"table": index})
+            assert state.t == moments["t"] == i + 1
+            for name, arr in params.arrays().items():
+                np.testing.assert_array_equal(arr, reference.arrays()[name])
+                np.testing.assert_array_equal(state.m[name], moments["m"][name])
+                np.testing.assert_array_equal(state.v[name], moments["v"][name])
+
+
 def dense_reference_step(params, grads, cfg, moments):
     """The dense optimizer step: clip and update every row of every array.
 
@@ -602,6 +655,20 @@ class TestTrainLoop:
         fresh = initialize_params(encoder_cfg, HeadConfig("protonet"), substream(3, "init"),
                                   [t for d in split.train for t in d.tokens])
         np.testing.assert_array_equal(ckpt.params.encoder.table, fresh.encoder.table)
+
+    def test_vocabulary_is_the_first_distinct_training_tokens(self):
+        """With more distinct training tokens than table rows, the first ``n_buckets`` of them in
+        first-seen order get rows 0, 1, ...; the rest are left out."""
+        split = self._split()
+        sampler_cfg, _, encoder_cfg = self._cfgs(4)
+        encoder_cfg = replace(encoder_cfg, n_buckets=10)
+        first_seen = []
+        for token in (t for doc in split.train for t in doc.tokens):
+            if token not in first_seen:
+                first_seen.append(token)
+        assert len(first_seen) > encoder_cfg.n_buckets
+        ckpt = train(split, sampler_cfg, TrainConfig(episodes=0, validate_every=1), HeadConfig("protonet"), encoder_cfg)
+        assert list(ckpt.params.encoder.vocab.items()) == [(t, row) for row, t in enumerate(first_seen[:10])]
 
     def test_zero_episodes_replaces_the_log_with_an_empty_one(self, tmp_path):
         """A zero-episode run leaves no earlier run's log beside its checkpoint, and no temporary file."""
