@@ -182,8 +182,9 @@ def evaluate_episodes(
         raise ValueError("no episodes to evaluate")
     docs = (doc for episode in episodes for doc in episode.support + episode.query)
     rows = _DocumentRows(docs, params, provider, encoder_cfg.chunk_length)
-    results = [run_episode(ep, params, head_cfg, encoder_cfg, provider=rows, seed=seed) for ep in episodes]
-    tokens = FpFnCounts()
-    for _, t in results:
-        tokens.merge(t)
-    return aggregate([match for match, _ in results], token_counts=tokens, episode_count=len(episodes))
+    matches, tokens = MatchCounts(), FpFnCounts()
+    for ep in episodes:
+        match, token_counts = run_episode(ep, params, head_cfg, encoder_cfg, provider=rows, seed=seed)
+        matches.merge(match)
+        tokens.merge(token_counts)
+    return aggregate(matches, token_counts=tokens, episode_count=len(episodes))

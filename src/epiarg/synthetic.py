@@ -14,10 +14,11 @@ from .seeds import substream
 def _place_spans(rng: np.random.Generator, lengths: list[int], min_gap: int, tail: int) -> tuple[list[tuple[int, int]], int]:
     """Lay spans left to right with random gaps; returns spans and the doc length."""
     spans = []
-    cursor = int(rng.integers(min_gap, min_gap + 6))
-    for length in lengths:
+    gaps = rng.integers(0, 6, size=len(lengths) + 1).tolist()
+    cursor = min_gap + gaps[0]
+    for length, gap in zip(lengths, gaps[1:]):
         spans.append((cursor, cursor + length))
-        cursor += length + min_gap + int(rng.integers(0, 6))
+        cursor += length + min_gap + gap
     return spans, cursor + tail
 
 
@@ -35,6 +36,8 @@ def synthetic_corpus(
     Documents carry 1-6 distinct roles with 1-3 spans each, which makes all
     of 3w1d / 3w2d / 6w2d feasible on a few hundred documents.
     """
+    if not 1 <= roles_per_event <= shared_pool:
+        raise ValueError(f"roles_per_event must be in [1, shared_pool={shared_pool}], got {roles_per_event}")
     rng = substream(seed, "synthetic")
     pool = [f"role_{i}" for i in range(shared_pool)]
     inventories = {
@@ -49,14 +52,12 @@ def synthetic_corpus(
         roles = [str(r) for r in rng.choice(inventory, size=min(n_roles, len(inventory)), replace=False)]
         if frequent_roles and rng.random() < frequent_rate:
             roles.append(frequent_roles[int(rng.integers(len(frequent_roles)))])
-        role_of_span: list[str] = []
-        for role in roles:
-            for _ in range(int(rng.integers(1, 4))):
-                role_of_span.append(role)
+        counts = rng.integers(1, 4, size=len(roles)).tolist()
+        role_of_span = [role for role, count in zip(roles, counts) for _ in range(count)]
         rng.shuffle(role_of_span)
-        lengths = [int(rng.integers(1, 4)) for _ in role_of_span]
+        lengths = rng.integers(1, 4, size=len(role_of_span)).tolist()
         positions, doc_len = _place_spans(rng, lengths, min_gap=1, tail=int(rng.integers(5, 30)))
-        tokens = [f"tok{int(rng.integers(2000))}" for _ in range(doc_len)]
+        tokens = [f"tok{t}" for t in rng.integers(2000, size=doc_len).tolist()]
         spans = tuple(
             ArgumentSpan(start, end, role) for (start, end), role in zip(positions, role_of_span)
         )
@@ -89,14 +90,12 @@ def calibrated_corpus(seed: int, n_docs: int = 800, n_event_types: int = 8) -> C
         n_roles = int(rng.choice(7, p=n_role_weights)) + 1
         roles = [str(r) for r in rng.choice(inventory, size=n_roles, replace=False)]
         repeat_rate = max(0.0, 0.9 - 0.145 * n_roles)
-        role_of_span: list[str] = []
-        for role in roles:
-            for _ in range(1 + int(rng.poisson(repeat_rate))):
-                role_of_span.append(role)
+        repeats = rng.poisson(repeat_rate, size=len(roles)).tolist()
+        role_of_span = [role for role, extra in zip(roles, repeats) for _ in range(1 + extra)]
         rng.shuffle(role_of_span)
-        lengths = [int(rng.integers(1, 4)) for _ in role_of_span]
+        lengths = rng.integers(1, 4, size=len(role_of_span)).tolist()
         positions, doc_len = _place_spans(rng, lengths, min_gap=2, tail=int(rng.integers(10, 40)))
-        tokens = [f"tok{int(rng.integers(5000))}" for _ in range(doc_len)]
+        tokens = [f"tok{t}" for t in rng.integers(5000, size=doc_len).tolist()]
         spans = tuple(
             ArgumentSpan(start, end, role) for (start, end), role in zip(positions, role_of_span)
         )
@@ -125,6 +124,15 @@ def separable_corpus(
     names. Co-active roles within an event carry distinct markers, so
     episodes stay unambiguous.
     """
+    for name, value, bound in (
+        ("n_event_types", n_event_types, 2),
+        ("roles_per_event", roles_per_event, 3),
+        ("docs_per_event", docs_per_event, 1),
+        ("radius", radius, 0),
+        ("n_fillers", n_fillers, 1),
+    ):
+        if value < bound:
+            raise ValueError(f"{name} must be >= {bound}, got {value}")
     rng = substream(seed, "separable")
     span_len = 2 * radius + 1
     fillers = [f"w{i}" for i in range(n_fillers)]
@@ -134,7 +142,7 @@ def separable_corpus(
     docs = []
     for event in events:
         for d in range(docs_per_event):
-            distinct = [str(r) for r in rng.choice(roles[event], size=3, replace=False)]
+            distinct = [roles[event][j] for j in rng.choice(roles_per_event, size=3, replace=False).tolist()]
             role_of_span = list(distinct)
             if rng.random() < 0.5:
                 role_of_span.append(distinct[int(rng.integers(3))])
@@ -142,7 +150,7 @@ def separable_corpus(
             positions, doc_len = _place_spans(
                 rng, [span_len] * len(role_of_span), min_gap=radius + 2, tail=radius + 4
             )
-            tokens = [fillers[int(rng.integers(n_fillers))] for _ in range(doc_len)]
+            tokens = [fillers[i] for i in rng.integers(n_fillers, size=doc_len).tolist()]
             for (start, end), role in zip(positions, role_of_span):
                 tokens[(start + end) // 2] = marker[role]
             spans = tuple(

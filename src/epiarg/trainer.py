@@ -417,7 +417,9 @@ def train(
     with atomic_write(log_path) if log_path is not None else contextlib.nullcontext() as log_handle:
         for i, episode in enumerate(train_episodes):
             tensors = episode_tensors(episode, params, encoder_cfg.chunk_length)
-            nota_rng = mnav_stream(train_cfg.seed, episode.active_types, (doc.doc_id for doc in episode.support))
+            nota_rng = None
+            if head_cfg.name == "mnav":
+                nota_rng = mnav_stream(train_cfg.seed, episode.active_types, (doc.doc_id for doc in episode.support))
             loss, _ = forward_backward(params, tensors, head_cfg, nota_rng=nota_rng, out=grads)
             in_batch += 1
             record: dict = {"episode": i + 1, "loss": loss}
