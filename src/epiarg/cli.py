@@ -12,10 +12,9 @@ Exit codes: 0 ok, 2 config error, 3 infeasible sampling, 4 numerical failure,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .corpus import (
@@ -44,6 +43,7 @@ from .formats import (
 )
 from .heads import HEAD_NAMES, EmptyClassError, HeadConfig, write_prototypes_csv
 from .inference import evaluate_episodes, prototype_sets
+from .record import Record
 from .sampler import (
     InfeasibleSamplingError,
     SamplerConfig,
@@ -56,42 +56,20 @@ from .seeds import substream
 from .trainer import NumericalError, TrainConfig, train
 
 
-def _int_field(data: dict, name: str, default: int, section: str | None = None) -> int:
-    """A JSON integer, or a string of one such as ``"7"``; ``true`` and any float are config errors."""
-    value = data.get(name, default)
-    if isinstance(value, str):
-        with contextlib.suppress(ValueError):
-            value = int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        field = f"{section!r} must be an integer for {name!r}" if section else f"{name!r} must be an integer"
-        raise ValueError(f"config field {field}, got {value!r}")
-    return value
+# Where each command-line flag lands in the config's dict form: a top-level field, or ``section.field``.
+_FLAG_FIELDS = {
+    "seed": ("seed",),
+    "n_ways": ("sampler.n_ways",),
+    "d_docs": ("sampler.d_docs",),
+    "episodes": ("train.episodes", "episode_counts.train"),
+    "split": ("split",),
+    "out": ("out_dir",),
+    "head": ("head.name",),
+}
 
 
-def _str_field(data: dict, name: str, default: str | None) -> str | None:
-    """A string, or ``null`` where the default is ``None``."""
-    value = data.get(name, default)
-    if not (isinstance(value, str) or (value is None and default is None)):
-        raise ValueError(f"config field {name!r} must be a string, got {value!r}")
-    return value
-
-
-def _section(data: dict, name: str) -> dict:
-    value = data.get(name, {})
-    if not isinstance(value, dict):
-        raise ValueError(f"config section {name!r} must be an object, got {value!r}")
-    return dict(value)
-
-
-def _bool_field(data: dict, name: str, default: bool) -> bool:
-    value = data.get(name, default)
-    if not isinstance(value, bool):
-        raise ValueError(f"config field {name!r} must be true or false, got {value!r}")
-    return value
-
-
-@dataclass
-class RunConfig:
+@dataclass(frozen=True)
+class RunConfig(Record):
     corpus: str | None = None
     split_spec: str | None = None
     split: str | None = None
@@ -101,12 +79,25 @@ class RunConfig:
     balance: bool = True
     embedding_source: str = "toy"
     checkpoint: str | None = None
-    episode_counts: dict = field(default_factory=lambda: {"train": 2000, "dev": 200, "test": 200})
+    episode_counts: dict[str, int] = field(default_factory=lambda: {"train": 2000, "dev": 200, "test": 200})
     export_episodes: int = 50
     sampler: SamplerConfig = field(default_factory=lambda: SamplerConfig(n_ways=3, d_docs=1))
     train: TrainConfig = field(default_factory=lambda: TrainConfig(episodes=2000, validate_every=500))
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     head: HeadConfig = field(default_factory=HeadConfig)
+
+    def __post_init__(self):
+        prefix = "config field 'episode_counts' of RunConfig must be"
+        for pool, count in self.episode_counts.items():
+            if pool not in POOL_NAMES:
+                raise ValueError(f"{prefix} keyed by {', '.join(POOL_NAMES)}, got {pool!r}")
+            if count < 0:  # 0 skips the pool in `sample`; so would a negative count, silently
+                raise ValueError(f"{prefix} at least 0 for {pool!r}, got {count}")
+        # export_episodes is a slice bound: 0 would export nothing, -5 all but the last 5
+        self.check("at least 1", lambda n: n >= 1, "export_episodes")
+        # the run seed is the single entropy source for every stage
+        object.__setattr__(self, "sampler", replace(self.sampler, seed=self.seed))
+        object.__setattr__(self, "train", replace(self.train, seed=self.seed))
 
     @classmethod
     def load(cls, path: str | Path | None, overrides: argparse.Namespace) -> "RunConfig":
@@ -115,58 +106,14 @@ class RunConfig:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
             if not isinstance(data, dict):
                 raise ValueError(f"config {path} must hold a JSON object, got a {type(data).__name__}")
-        defaults = cls()
-        counts = _section(data, "episode_counts")
-        for pool in counts:
-            if pool not in POOL_NAMES:
-                raise ValueError(f"config field 'episode_counts' must be keyed by {', '.join(POOL_NAMES)}, got {pool!r}")
-            counts[pool] = _int_field(counts, pool, 0, "episode_counts")
-            if counts[pool] < 0:  # 0 skips the pool in `sample`; so would a negative count, silently
-                raise ValueError(f"config field 'episode_counts' must be at least 0 for {pool!r}, got {counts[pool]}")
-        cfg = cls(
-            corpus=_str_field(data, "corpus", defaults.corpus),
-            split_spec=_str_field(data, "split_spec", defaults.split_spec),
-            split=_str_field(data, "split", defaults.split),
-            out_dir=_str_field(data, "out_dir", defaults.out_dir),
-            seed=_int_field(data, "seed", defaults.seed),
-            min_count=_int_field(data, "min_count", defaults.min_count),
-            balance=_bool_field(data, "balance", defaults.balance),
-            embedding_source=_str_field(data, "embedding_source", defaults.embedding_source),
-            checkpoint=_str_field(data, "checkpoint", defaults.checkpoint),
-            episode_counts={**defaults.episode_counts, **counts},
-            export_episodes=_int_field(data, "export_episodes", defaults.export_episodes),
-        )
-        if cfg.export_episodes < 1:  # a slice bound: 0 exports nothing, -5 all but the last 5
-            raise ValueError(f"config field 'export_episodes' must be at least 1, got {cfg.export_episodes!r}")
-        sampler_data = _section(data, "sampler")
-        train_data = _section(data, "train")
-        if overrides.seed is not None:
-            cfg.seed = overrides.seed
-        if overrides.n_ways is not None:
-            sampler_data["n_ways"] = overrides.n_ways
-        if overrides.d_docs is not None:
-            sampler_data["d_docs"] = overrides.d_docs
-        if overrides.episodes is not None:
-            cfg.episode_counts["train"] = overrides.episodes
-            train_data["episodes"] = overrides.episodes
-        if overrides.split is not None:
-            cfg.split = overrides.split
-        if overrides.out is not None:
-            cfg.out_dir = overrides.out
-        # the run seed is the single entropy source for every stage
-        sampler_data["seed"] = cfg.seed
-        train_data["seed"] = cfg.seed
-        cfg.sampler = SamplerConfig.from_dict({**defaults.sampler.to_dict(), **sampler_data})
-        cfg.train = TrainConfig.from_dict({**defaults.train.to_dict(), **train_data})
-        cfg.encoder = EncoderConfig.from_dict(_section(data, "encoder"))
-        head_data = _section(data, "head")
-        if overrides.head is not None:
-            head_data["name"] = overrides.head
-        cfg.head = HeadConfig.from_dict(head_data)
-        return cfg
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        for flag, targets in _FLAG_FIELDS.items():
+            value = getattr(overrides, flag)
+            for target in targets if value is not None else ():
+                section, _, name = target.rpartition(".")
+                into = data.setdefault(section, {}) if section else data
+                if isinstance(into, dict):  # from_dict refuses a section that is not an object
+                    into[name] = value
+        return cls.from_dict(data)
 
     @property
     def out(self) -> Path:
@@ -178,19 +125,14 @@ class RunConfig:
         return payload
 
 
-def _require(value, message: str):
-    if value is None:
-        raise ValueError(message)
-    return value
-
-
 def _write_json(payload: dict, path: Path) -> None:
     with atomic_write(path) as handle:
         handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_ingest(cfg: RunConfig) -> None:
-    corpus = parse_corpus(_require(cfg.corpus, "config field 'corpus' is required"))
+    cfg.check("set for this command", lambda path: path is not None, "corpus")
+    corpus = parse_corpus(cfg.corpus)
     stats = corpus_stats(corpus)
     _write_json(cfg.stamp({"command": "ingest", "stats": stats.to_dict()}), cfg.out / "stats.json")
     print(
@@ -200,9 +142,9 @@ def cmd_ingest(cfg: RunConfig) -> None:
 
 
 def cmd_split(cfg: RunConfig) -> None:
-    corpus = parse_corpus(_require(cfg.corpus, "config field 'corpus' is required"))
-    spec_path = _require(cfg.split_spec, "config field 'split_spec' is required for this command")
-    spec = SplitSpec.from_json(spec_path, cfg.split)
+    cfg.check("set for this command", lambda path: path is not None, "corpus", "split_spec")
+    corpus = parse_corpus(cfg.corpus)
+    spec = SplitSpec.from_json(cfg.split_spec, cfg.split)
     split = compute_split(corpus, spec)
     split = SplitCorpus(**{name: filter_rare_types(pool, cfg.min_count) for name, pool in split.pools().items()})
     masked, report = apply_leakage_mask(split, spec)
@@ -314,7 +256,8 @@ def cmd_report(cfg: RunConfig) -> None:
 
 
 def cmd_export_embeddings(cfg: RunConfig) -> None:
-    corpus = parse_corpus(_require(cfg.corpus, "config field 'corpus' is required"))
+    cfg.check("set for this command", lambda path: path is not None, "corpus")
+    corpus = parse_corpus(cfg.corpus)
     params, _ = _eval_model(replace(cfg, embedding_source="toy"))  # exports the toy encoder's rows
     chunk_length = params.encoder.config.chunk_length
     matrices = (embed_tokens(params.encoder, doc, chunk_document(len(doc.tokens), chunk_length)) for doc in corpus)

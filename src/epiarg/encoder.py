@@ -28,6 +28,11 @@ class EncoderConfig(Record):
     chunk_length: int = 1024
     init_scale: float = 0.05
 
+    def __post_init__(self):
+        self.check("at least 1", lambda n: n >= 1, "d_emb", "d_model", "n_buckets", "chunk_length")
+        self.check("at least 0", lambda n: n >= 0, "radius")
+        self.check("finite and positive", lambda x: 0 < x < np.inf, "init_scale")
+
 
 @dataclass(frozen=True)
 class ChunkPlan:

@@ -52,10 +52,9 @@ class HeadConfig(Record):
     kmeans_iters: int = 100
 
     def __post_init__(self):
-        if self.name not in HEAD_NAMES:
-            raise ValueError(f"unknown head {self.name!r}")
-        if not (1 <= self.kmeans_k <= 16):
-            raise ValueError(f"kmeans_k must be in [1, 16], got {self.kmeans_k}")
+        self.check(f"one of {', '.join(HEAD_NAMES)}", lambda name: name in HEAD_NAMES, "name")
+        self.check("at least 1", lambda n: n >= 1, "d_reduced")
+        self.check("in [1, 16]", lambda k: 1 <= k <= 16, "kmeans_k")
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,7 @@ class SamplerConfig(Record):
     max_attempts: int = 100_000
 
     def __post_init__(self):
-        if self.n_ways < 1 or self.d_docs < 1 or self.query_size < 1 or self.max_attempts < 1:
-            raise ValueError(f"invalid sampler config {self}")
+        self.check("at least 1", lambda n: n >= 1, "n_ways", "d_docs", "query_size", "max_attempts")
 
     @property
     def setting(self) -> str:

@@ -22,6 +22,13 @@ def _place_spans(rng: np.random.Generator, lengths: list[int], min_gap: int, tai
     return spans, cursor + tail
 
 
+def _check_counts(*arguments: tuple[str, int, int]) -> None:
+    """Refuse, before anything is drawn, the first ``(name, value, bound)`` whose value is below its bound."""
+    for name, value, bound in arguments:
+        if value < bound:
+            raise ValueError(f"{name} must be >= {bound}, got {value}")
+
+
 def synthetic_corpus(
     seed: int,
     n_docs: int = 500,
@@ -36,6 +43,7 @@ def synthetic_corpus(
     Documents carry 1-6 distinct roles with 1-3 spans each, which makes all
     of 3w1d / 3w2d / 6w2d feasible on a few hundred documents.
     """
+    _check_counts(("n_docs", n_docs, 0), ("n_event_types", n_event_types, 1))
     if not 1 <= roles_per_event <= shared_pool:
         raise ValueError(f"roles_per_event must be in [1, shared_pool={shared_pool}], got {roles_per_event}")
     rng = substream(seed, "synthetic")
@@ -74,6 +82,7 @@ def calibrated_corpus(seed: int, n_docs: int = 800, n_event_types: int = 8) -> C
     argument instances on average, the value the 3w1d sampling statistic is
     checked against (calibration-dependent, not a universal constant).
     """
+    _check_counts(("n_docs", n_docs, 0), ("n_event_types", n_event_types, 1))
     rng = substream(seed, "calibrated")
     n_role_weights = np.array([0.10, 0.22, 0.26, 0.20, 0.12, 0.07, 0.03])
     n_role_weights = n_role_weights / n_role_weights.sum()
@@ -124,15 +133,13 @@ def separable_corpus(
     names. Co-active roles within an event carry distinct markers, so
     episodes stay unambiguous.
     """
-    for name, value, bound in (
+    _check_counts(
         ("n_event_types", n_event_types, 2),
         ("roles_per_event", roles_per_event, 3),
         ("docs_per_event", docs_per_event, 1),
         ("radius", radius, 0),
         ("n_fillers", n_fillers, 1),
-    ):
-        if value < bound:
-            raise ValueError(f"{name} must be >= {bound}, got {value}")
+    )
     rng = substream(seed, "separable")
     span_len = 2 * radius + 1
     fillers = [f"w{i}" for i in range(n_fillers)]

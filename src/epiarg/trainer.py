@@ -73,14 +73,13 @@ class TrainConfig(Record):
     dev_episodes: int = 200
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.grad_clip_norm <= 0:
-            raise ValueError("learning_rate and grad_clip_norm must be positive")
-        if self.episodes < 0 or self.validate_every < 1 or self.batch_size < 1 or self.dev_episodes < 1:
-            raise ValueError(f"invalid train config {self}")
-        if self.optimizer not in ("sgd", "adamw"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.episodes > 0 and self.validate_every > self.episodes:
-            raise ValueError("validate_every must not exceed the episode budget")
+        self.check("finite and positive", lambda x: 0 < x < np.inf, "learning_rate", "grad_clip_norm")
+        self.check("finite and at least 0", lambda x: 0 <= x < np.inf, "weight_decay")
+        self.check("at least 0", lambda n: n >= 0, "episodes")
+        self.check("at least 1", lambda n: n >= 1, "validate_every", "batch_size", "dev_episodes")
+        self.check("'sgd' or 'adamw'", lambda name: name in ("sgd", "adamw"), "optimizer")
+        if self.episodes > 0:
+            self.check(f"at most the episode budget {self.episodes}", lambda n: n <= self.episodes, "validate_every")
 
 
 @dataclass

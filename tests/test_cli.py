@@ -171,9 +171,32 @@ class TestConfig:
         loaded = load_config(tmp_path, {section: {"n_way": 3}})
         assert loaded.to_dict() == RunConfig().to_dict()
 
-    def test_scalar_strings_are_coerced(self, tmp_path):
-        loaded = load_config(tmp_path, {"seed": "7", "min_count": "3", "episode_counts": {"test": "5"}})
-        assert (loaded.seed, loaded.min_count, loaded.episode_counts["test"]) == (7, 3, 5)
+    @pytest.mark.parametrize("data", [{"seed": "7"}, {"min_count": "3"}, {"episode_counts": {"test": "5"}}])
+    def test_scalar_strings_are_refused(self, tmp_path, data):
+        """Every field takes its JSON type, at the top level as in the sections: a string of digits is no int."""
+        (name,) = data
+        with pytest.raises(ValueError, match=f"^config field '{name}' of RunConfig must be "):
+            load_config(tmp_path, data)
+
+    @pytest.mark.parametrize(
+        "name, partial",
+        [
+            ("sampler", {"d_docs": 2}),
+            ("train", {"episodes": 1000}),  # keeps the run's validate_every of 500, not the class default 4000
+            ("encoder", {"radius": 1}),
+            ("head", {"kmeans_k": 2}),
+            ("episode_counts", {"dev": 5}),
+        ],
+    )
+    def test_partial_object_overlays_its_default(self, tmp_path, name, partial):
+        loaded = load_config(tmp_path, {name: partial})
+        assert loaded.to_dict() == dict(RunConfig().to_dict(), **{name: {**RunConfig().to_dict()[name], **partial}})
+
+    def test_run_seed_is_every_stage_seed(self):
+        """The run seed is written into the sampler and train sections however the config is built."""
+        cfg = RunConfig(seed=5)
+        assert cfg.sampler.seed == cfg.train.seed == 5
+        assert RunConfig(seed=5, sampler=SamplerConfig(n_ways=2, d_docs=1, seed=9)).sampler.seed == 5
 
     def test_defaults_round_trip_with_nulls(self, tmp_path):
         """``null`` is accepted for the string fields whose default is ``None``."""
@@ -266,7 +289,7 @@ class TestErrorPaths:
         bad.write_text(json.dumps(dict(config, **{field: value})))
         assert run(bad, "ingest") == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error code=2 kind=config: config field '{field}' must be ")
+        assert err.startswith(f"error code=2 kind=config: config field '{field}' of RunConfig must be ")
 
     @pytest.mark.parametrize("counts, named", [({"trian": 5}, "got 'trian'"), ({"test": -3}, "for 'test', got -3")])
     def test_bad_episode_count_is_config_error_naming_its_key(self, workspace, capsys, counts, named):
@@ -277,7 +300,7 @@ class TestErrorPaths:
         bad.write_text(json.dumps(dict(config, episode_counts=counts)))
         assert run(bad, "sample") == 2
         err = capsys.readouterr().err
-        assert err.startswith("error code=2 kind=config: config field 'episode_counts' must be ")
+        assert err.startswith("error code=2 kind=config: config field 'episode_counts' of RunConfig must be ")
         assert err.rstrip().endswith(named)
 
     def test_zero_episode_count_skips_its_pool(self, workspace):
@@ -313,6 +336,57 @@ class TestErrorPaths:
         bad.write_text(json.dumps(dict(config, **{section: value})))
         assert run(bad, "ingest") == 2
         assert capsys.readouterr().err.startswith(f"error code=2 kind=config: config {named}, got ")
+
+    @pytest.mark.parametrize(
+        "section, argv",
+        [
+            ("sampler", ["--n-ways", "2"]),
+            ("sampler", ["--d-docs", "2"]),
+            ("train", ["--episodes", "2"]),
+            ("episode_counts", ["--episodes", "2"]),
+            ("head", ["--head", "mnav"]),
+        ],
+    )
+    def test_flag_over_non_object_section_is_config_error(self, workspace, capsys, section, argv):
+        """A flag that sets a field of a section the config gives as a non-object names that section."""
+        tmp_path, _, config = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(config, **{section: 3})))
+        assert run(bad, "ingest", *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error code=2 kind=config: config ") and f" {section!r} " in err
+
+    @pytest.mark.parametrize(
+        "section, field, value, config_class",
+        [
+            ("encoder", "n_buckets", 0, "EncoderConfig"),
+            ("encoder", "d_emb", 0, "EncoderConfig"),
+            ("encoder", "d_model", 0, "EncoderConfig"),
+            ("encoder", "chunk_length", 0, "EncoderConfig"),
+            ("encoder", "radius", -1, "EncoderConfig"),
+            ("encoder", "init_scale", -1.0, "EncoderConfig"),
+            ("encoder", "init_scale", float("inf"), "EncoderConfig"),
+            ("train", "learning_rate", float("inf"), "TrainConfig"),
+            ("train", "learning_rate", 0, "TrainConfig"),
+            ("train", "grad_clip_norm", float("nan"), "TrainConfig"),
+            ("train", "weight_decay", -1.0, "TrainConfig"),
+            ("train", "weight_decay", float("inf"), "TrainConfig"),
+            ("train", "batch_size", 0, "TrainConfig"),
+            ("head", "d_reduced", 0, "HeadConfig"),
+            ("sampler", "n_ways", 0, "SamplerConfig"),
+            ("sampler", "query_size", 0, "SamplerConfig"),
+        ],
+    )
+    def test_out_of_range_section_value_is_config_error(self, workspace, capsys, section, field, value, config_class):
+        """A value outside its field's range ends the first command with ``code=2`` naming the field, not
+        a traceback later, nonsense output, or a numpy message."""
+        tmp_path, _, config = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(config, **{section: {**config[section], field: value}})))
+        assert run(bad, "ingest") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error code=2 kind=config: config field '{field}' of {config_class} must be ")
+        assert err.count("\n") == 1
 
     def test_int_stands_for_float(self, workspace):
         tmp_path, _, config = workspace

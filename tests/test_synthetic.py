@@ -146,6 +146,10 @@ def test_choice_of_indices_draws_like_choice_of_names(n):
         (lambda: separable_corpus(1, n_fillers=0), "n_fillers"),
         (lambda: synthetic_corpus(1, roles_per_event=50), "roles_per_event"),
         (lambda: synthetic_corpus(1, roles_per_event=0), "roles_per_event"),
+        (lambda: synthetic_corpus(1, n_event_types=0), "n_event_types"),
+        (lambda: synthetic_corpus(1, n_docs=-1), "n_docs"),
+        (lambda: calibrated_corpus(1, n_event_types=0), "n_event_types"),
+        (lambda: calibrated_corpus(1, n_docs=-1), "n_docs"),
     ],
     ids=[
         "separable-one-event-type",
@@ -155,6 +159,10 @@ def test_choice_of_indices_draws_like_choice_of_names(n):
         "separable-no-fillers",
         "synthetic-more-roles-than-pool",
         "synthetic-no-roles",
+        "synthetic-no-event-types",
+        "synthetic-negative-documents",
+        "calibrated-no-event-types",
+        "calibrated-negative-documents",
     ],
 )
 def test_generator_arguments_are_checked_before_drawing(build, argument):
